@@ -64,8 +64,7 @@ using Solution = std::vector<double>;
  * assembly can write — gmin diagonals, conductance quads for
  * resistors/capacitors, source coupling entries, FET stamps — sorted
  * and deduplicated. Used for pattern-aware zeroing between Newton
- * stamps (Matrix::zeroEntries) in both the scalar and the batched
- * engine.
+ * stamps (Matrix::zeroEntries).
  */
 std::vector<std::uint32_t> stampPattern(const Circuit &circuit);
 

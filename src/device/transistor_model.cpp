@@ -14,16 +14,25 @@ double
 TransistorModel::drainCurrent(double vgs, double vds) const
 {
     // Map the device frame onto the forward (n-type, vds >= 0) frame.
-    return mappedCurrent(
-        polarity_,
-        [this](double g, double d) { return forwardCurrent(g, d); },
-        vgs, vds);
+    double vgs_f = vgs;
+    double vds_f = vds;
+    double sign = 1.0;
+    if (polarity_ == Polarity::PType) {
+        vgs_f = -vgs;
+        vds_f = -vds;
+        sign = -1.0;
+    }
+    if (vds_f < 0.0) {
+        // Source/drain exchange: gate now references the other terminal.
+        return sign * -forwardCurrent(vgs_f - vds_f, -vds_f);
+    }
+    return sign * forwardCurrent(vgs_f, vds_f);
 }
 
 double
 TransistorModel::gm(double vgs, double vds) const
 {
-    constexpr double h = fdStep;
+    constexpr double h = 1e-4;
     return (drainCurrent(vgs + h, vds) - drainCurrent(vgs - h, vds)) /
            (2.0 * h);
 }
@@ -31,24 +40,9 @@ TransistorModel::gm(double vgs, double vds) const
 double
 TransistorModel::gds(double vgs, double vds) const
 {
-    constexpr double h = fdStep;
+    constexpr double h = 1e-4;
     return (drainCurrent(vgs, vds + h) - drainCurrent(vgs, vds - h)) /
            (2.0 * h);
-}
-
-void
-TransistorModel::evalBatch(const double *vgs, const double *vds,
-                           double *id, double *gm_out, double *gds_out,
-                           std::size_t n) const
-{
-    // Scalar reference loop: correct for any model, no fusion.
-    for (std::size_t k = 0; k < n; ++k) {
-        id[k] = drainCurrent(vgs[k], vds[k]);
-        if (gm_out != nullptr)
-            gm_out[k] = gm(vgs[k], vds[k]);
-        if (gds_out != nullptr)
-            gds_out[k] = gds(vgs[k], vds[k]);
-    }
 }
 
 } // namespace otft::device

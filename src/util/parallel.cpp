@@ -17,9 +17,10 @@ namespace {
 
 std::atomic<int> g_jobs{0}; // 0 = not yet initialized
 
-std::atomic<int> g_batch_lanes{8}; // solver lane width; 0 = scalar
-
 thread_local bool t_inside_worker = false;
+
+/** parallelFor regions the calling thread is draining its share of. */
+thread_local int t_caller_depth = 0;
 
 /**
  * Pool-stats state. Worker slots live in a deque (stable references)
@@ -379,30 +380,6 @@ JobsOverride::~JobsOverride()
     setJobs(prev);
 }
 
-void
-setBatchLanes(int n)
-{
-    if (n < 0)
-        fatal("parallel: batch lane width must be >= 0, got ", n);
-    g_batch_lanes.store(n, std::memory_order_relaxed);
-}
-
-int
-batchLanes()
-{
-    return g_batch_lanes.load(std::memory_order_relaxed);
-}
-
-BatchLanesOverride::BatchLanesOverride(int n) : prev(batchLanes())
-{
-    setBatchLanes(n);
-}
-
-BatchLanesOverride::~BatchLanesOverride()
-{
-    setBatchLanes(prev);
-}
-
 bool
 insideWorker()
 {
@@ -479,9 +456,10 @@ parallelFor(std::size_t n,
     if (static_cast<std::size_t>(j) > n)
         j = static_cast<int>(n);
 
-    // Serial fast path: one job, one index, or already inside a pool
-    // worker (nested fan-out runs inline to avoid deadlock).
-    if (j == 1 || insideWorker())
+    // Serial fast path: one job, one index, or already inside a
+    // region — on a pool worker or on a caller draining its own batch
+    // (nested fan-out runs inline to avoid deadlock).
+    if (j == 1 || insideWorker() || t_caller_depth > 0)
         return serialFor(n, fn, options.cancel);
 
     Batch batch;
@@ -506,7 +484,9 @@ parallelFor(std::size_t n,
     Pool &shared = pool();
     shared.ensureWorkers(static_cast<std::size_t>(j - 1));
     shared.submit(batch);
+    ++t_caller_depth; // work() records task exceptions, never throws
     work(batch);
+    --t_caller_depth;
     shared.retire(batch);
 
     // End-of-region load-imbalance summary: every helper has drained,

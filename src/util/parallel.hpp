@@ -12,9 +12,12 @@
  * deterministic too: when several tasks throw, the one with the
  * lowest index is rethrown on the calling thread.
  *
- * Nesting: a parallelFor issued from inside a pool worker runs
- * serially on that worker (no nested fan-out, no deadlock), so outer
- * layers (explorer grid) absorb the parallelism of inner layers (IPC
+ * Nesting: a parallelFor issued from inside a running region runs
+ * serially on the thread that opened it — a pool worker, or the
+ * calling thread while it drains its own share of the outer batch.
+ * No nested fan-out, no deadlock, and thread-local context (diag
+ * labels, profiler frames) stays with the work; outer layers
+ * (explorer grid) absorb the parallelism of inner layers (IPC
  * fan-out) naturally.
  *
  * The global job count defaults to the hardware concurrency and is
@@ -62,31 +65,15 @@ class JobsOverride
 };
 
 /**
- * Set the process-wide default lane width for the batched solver
- * engine (circuit/batch_solver.hpp). Characterization packs up to
- * this many same-topology solves into one lockstep SIMD batch;
- * 0 selects the scalar engine everywhere. Fatal on negative values.
- * Installed at startup by cli::Session from
- * `--batch-lanes`/`OTFT_BATCH_LANES`; the built-in default is 8.
+ * Always 0: the solver has one (scalar) engine and this is not a
+ * setting. It survives only as the `batch_lanes` field of the
+ * perfbench run fingerprint; nothing else may call it.
  */
-void setBatchLanes(int n);
-
-/** Current process-wide batch lane width (0 = scalar engine). */
-int batchLanes();
-
-/** RAII scope that overrides the batch lane width (tests, benches). */
-class BatchLanesOverride
+inline int
+batchLanes()
 {
-  public:
-    explicit BatchLanesOverride(int n);
-    ~BatchLanesOverride();
-
-    BatchLanesOverride(const BatchLanesOverride &) = delete;
-    BatchLanesOverride &operator=(const BatchLanesOverride &) = delete;
-
-  private:
-    int prev;
-};
+    return 0;
+}
 
 /**
  * Cooperative cancellation token. Cancellation is checked between

@@ -11,6 +11,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstdio>
 #include <fstream>
 #include <set>
@@ -230,6 +231,34 @@ TEST(ConcurrencyStress, ParallelForFromManyThreadsAtOnce)
         EXPECT_EQ(totals[static_cast<std::size_t>(t)].load(),
                   static_cast<std::uint64_t>(loops) * n)
             << "submitter " << t;
+}
+
+TEST(ConcurrencyStress, NestedRegionOnCallerStaysOnCaller)
+{
+    // The calling thread drains its own share of the outer region;
+    // a region it opens from there must run inline, exactly like one
+    // opened on a pool worker. The caller's outer index sleeps so the
+    // helper finishes its own index and sits idle, ready to steal any
+    // inner batch the caller were to publish.
+    parallel::JobsOverride pin(2);
+    const auto caller = std::this_thread::get_id();
+    constexpr int reps = 10;
+    constexpr std::size_t inner_n = 64;
+    for (int rep = 0; rep < reps; ++rep) {
+        std::atomic<int> hops{0};
+        parallel::parallelFor(2, [&](std::size_t) {
+            const auto opener = std::this_thread::get_id();
+            if (opener == caller)
+                std::this_thread::sleep_for(std::chrono::milliseconds(5));
+            parallel::parallelFor(inner_n, [&](std::size_t) {
+                std::this_thread::sleep_for(
+                    std::chrono::microseconds(20));
+                if (std::this_thread::get_id() != opener)
+                    ++hops;
+            });
+        });
+        EXPECT_EQ(hops.load(), 0) << "rep " << rep;
+    }
 }
 
 TEST(ConcurrencyStress, ScopedTimersAggregateExactCounts)

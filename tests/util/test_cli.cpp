@@ -53,7 +53,6 @@ class CleanEnv : public ::testing::Test
         unsetenv("OTFT_STATS_JSON");
         unsetenv("OTFT_TRACE_JSON");
         unsetenv("OTFT_JOBS");
-        unsetenv("OTFT_BATCH_LANES");
     }
 
     void
@@ -63,7 +62,6 @@ class CleanEnv : public ::testing::Test
         unsetenv("OTFT_STATS_JSON");
         unsetenv("OTFT_TRACE_JSON");
         unsetenv("OTFT_JOBS");
-        unsetenv("OTFT_BATCH_LANES");
         setQuiet(false);
     }
 
@@ -233,75 +231,6 @@ TEST_F(CliSession, JobsEnvironmentValueIsValidatedToo)
     Args args({"prog"});
     EXPECT_THROW(Session("test", args.argc(), args.argv()),
                  FatalError);
-}
-
-TEST_F(CliSession, BatchLanesFlagParsedConsumedAndInstalled)
-{
-    // Restore the session-wide lane width once the test body exits.
-    parallel::BatchLanesOverride restore(parallel::batchLanes());
-    Args args({"prog", "--batch-lanes", "4", "positional"});
-    {
-        Session session("test", args.argc(), args.argv());
-        EXPECT_EQ(session.batchLanes(), 4);
-        // The resolved width is installed process-wide.
-        EXPECT_EQ(parallel::batchLanes(), 4);
-    }
-    ASSERT_EQ(args.argc(), 2);
-    EXPECT_STREQ(args.at(0), "prog");
-    EXPECT_STREQ(args.at(1), "positional");
-}
-
-TEST_F(CliSession, BatchLanesZeroSelectsScalarEngine)
-{
-    parallel::BatchLanesOverride restore(parallel::batchLanes());
-    Args args({"prog", "--batch-lanes", "0"});
-    Session session("test", args.argc(), args.argv());
-    EXPECT_EQ(session.batchLanes(), 0);
-    EXPECT_EQ(parallel::batchLanes(), 0);
-}
-
-TEST_F(CliSession, BatchLanesDefaultsToSessionSetting)
-{
-    Args args({"prog"});
-    Session session("test", args.argc(), args.argv());
-    EXPECT_EQ(session.batchLanes(), parallel::batchLanes());
-}
-
-TEST_F(CliSession, BatchLanesRejectsNegativeAndGarbage)
-{
-    for (const char *bad : {"-1", "-8", "abc", "3x", "", "2.5"}) {
-        Args args({"prog", "--batch-lanes", bad});
-        EXPECT_THROW(Session("test", args.argc(), args.argv()),
-                     FatalError)
-            << "--batch-lanes " << bad;
-    }
-}
-
-TEST_F(CliSession, BatchLanesMissingValueIsFatal)
-{
-    Args args({"prog", "--batch-lanes"});
-    EXPECT_THROW(Session("test", args.argc(), args.argv()),
-                 FatalError);
-}
-
-TEST_F(CliSession, BatchLanesEnvironmentFallback)
-{
-    parallel::BatchLanesOverride restore(parallel::batchLanes());
-    setenv("OTFT_BATCH_LANES", "2", 1);
-    Args args({"prog"});
-    Session session("test", args.argc(), args.argv());
-    EXPECT_EQ(session.batchLanes(), 2);
-    EXPECT_EQ(parallel::batchLanes(), 2);
-}
-
-TEST_F(CliSession, BatchLanesFlagBeatsEnvironment)
-{
-    parallel::BatchLanesOverride restore(parallel::batchLanes());
-    setenv("OTFT_BATCH_LANES", "2", 1);
-    Args args({"prog", "--batch-lanes", "16"});
-    Session session("test", args.argc(), args.argv());
-    EXPECT_EQ(session.batchLanes(), 16);
-    EXPECT_EQ(parallel::batchLanes(), 16);
 }
 
 TEST_F(CliSession, JobsFlagBeatsEnvironment)
