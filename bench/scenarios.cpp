@@ -402,6 +402,23 @@ addCoreSimulation(perf::ScenarioSuite &suite)
             return model.run(30000, 3000).instructions;
         },
     });
+    suite.add({
+        "arch.core_simulation_wide",
+        "arch",
+        "cycle-level simulation of 30k mcf instructions after 3k "
+        "warmup on the widest Fig. 13 core (front end 6, back end 7); "
+        "points are simulated cycles, so points/s is cycles/s",
+        [] {},
+        []() -> std::uint64_t {
+            workload::TraceGenerator gen(workload::profileByName("mcf"),
+                                         11);
+            arch::CoreConfig config = arch::baselineConfig();
+            config.fetchWidth = 6;
+            config.aluPipes = 5;
+            arch::CoreModel model(config, gen);
+            return model.run(30000, 3000).cycles;
+        },
+    });
 }
 
 void

@@ -4,7 +4,7 @@
 # pass; CI runs exactly this script.
 #
 # Usage: scripts/verify.sh [--tsan|--asan|--bench|--diag|--profile|
-#        --mc] [build-dir]
+#        --mc|--repeat [N]] [build-dir]
 #
 #   --tsan   build with -fsanitize=thread into <build-dir>-tsan and
 #            run the concurrency-labelled tests under it
@@ -30,6 +30,15 @@
 #            end, writing the three corner .lib artifacts and
 #            re-validating them from disk with --check. Tens of
 #            seconds of solver time, so opt-in rather than tier-1.
+#   --repeat [N]  order/warm-state lane: run every tier1 test binary
+#            N times (default 10) in a fresh shuffled order each time,
+#            i.e. --gtest_repeat=N --gtest_shuffle (passed as
+#            GTEST_REPEAT/GTEST_SHUFFLE). Surfaces tests that pass
+#            only in file order or only on a cold process, e.g. a
+#            reused CoreModel or warm worker pool. gtest prints the
+#            shuffle seed; rerun one binary with --gtest_repeat=N
+#            --gtest_shuffle --gtest_random_seed=<seed> to reproduce.
+#            N x the tier-1 time, so opt-in.
 #
 # The sanitizer lanes keep their own build trees so the default tree
 # stays warm for the plain gate.
@@ -42,6 +51,7 @@ PERF_SMOKE=0
 DIAG_SMOKE=0
 PROFILE_SMOKE=0
 MC_SMOKE=0
+REPEAT=0
 if [[ "${1:-}" == "--tsan" ]]; then
     SANITIZE="thread"
     LANE_SUFFIX="-tsan"
@@ -63,6 +73,17 @@ elif [[ "${1:-}" == "--profile" ]]; then
 elif [[ "${1:-}" == "--mc" ]]; then
     MC_SMOKE=1
     shift
+elif [[ "${1:-}" == "--repeat" ]]; then
+    REPEAT=10
+    shift
+    if [[ "${1:-}" =~ ^[0-9]+$ ]]; then
+        REPEAT="$1"
+        shift
+    fi
+    if [[ "${REPEAT}" -lt 1 ]]; then
+        echo "error: --repeat needs N >= 1" >&2
+        exit 2
+    fi
 fi
 
 BUILD_DIR="${1:-build}${LANE_SUFFIX}"
@@ -164,6 +185,14 @@ if [[ "${MC_SMOKE}" == "1" ]]; then
     "${BUILD_DIR}/bench/mc_characterize" \
         --out-prefix "${MC_DIR}/organic_mc" --check
     echo "mc lane ok"
+    exit 0
+fi
+
+if [[ "${REPEAT}" -gt 0 ]]; then
+    GTEST_REPEAT="${REPEAT}" GTEST_SHUFFLE=1 \
+        ctest --test-dir "${BUILD_DIR}" -L tier1 \
+        --output-on-failure -j "${JOBS}"
+    echo "repeat lane ok (${REPEAT} shuffled repeats per binary)"
     exit 0
 fi
 

@@ -1,6 +1,8 @@
 #include "arch/core.hpp"
 
 #include <algorithm>
+#include <bit>
+#include <cassert>
 
 #include "util/logging.hpp"
 #include "util/stats_registry.hpp"
@@ -9,6 +11,16 @@ namespace otft::arch {
 
 using workload::OpClass;
 
+namespace {
+
+bool
+isMemory(OpClass op)
+{
+    return op == OpClass::Load || op == OpClass::Store;
+}
+
+} // namespace
+
 CoreModel::CoreModel(CoreConfig config, workload::TraceGenerator &trace)
     : cfg(config), trace(trace), predictor(config.predictorBits),
       memory(config.l1Latency, config.l2Latency, config.memLatency),
@@ -16,42 +28,39 @@ CoreModel::CoreModel(CoreConfig config, workload::TraceGenerator &trace)
 {
     if (cfg.fetchWidth < 1 || cfg.aluPipes < 1)
         fatal("CoreModel: invalid widths");
+    if (cfg.robSize < 1)
+        fatal("CoreModel: invalid ROB size");
+    const auto rob_size = static_cast<std::size_t>(cfg.robSize);
+    rob.resize(rob_size);
+    readyBits.assign((rob_size + 63) / 64, 0);
+    // At most robSize entries are ever issued and incomplete.
+    std::vector<Completion> storage;
+    storage.reserve(rob_size);
+    completions = decltype(completions)(std::greater<Completion>(),
+                                        std::move(storage));
 }
 
-bool
-CoreModel::operandReady(std::uint64_t producer_serial) const
+std::size_t
+CoreModel::nextReady(std::size_t from, std::size_t end) const
 {
-    if (producer_serial == 0 || producer_serial < headSerial)
-        return true; // no producer, or producer already committed
-    const std::size_t idx =
-        static_cast<std::size_t>(producer_serial - headSerial);
-    if (idx >= rob.size())
-        return true; // squashed producer: value is architectural
-    return rob[idx].state == State::Done;
-}
-
-CoreModel::RobEntry &
-CoreModel::entryOf(std::uint64_t serial)
-{
-    return rob[static_cast<std::size_t>(serial - headSerial)];
+    while (from < end) {
+        const std::uint64_t word = readyBits[from / 64] >> (from % 64);
+        if (word != 0)
+            return std::min(end, from + static_cast<std::size_t>(
+                                            std::countr_zero(word)));
+        from = (from / 64 + 1) * 64;
+    }
+    return end;
 }
 
 void
-CoreModel::flushAfter(std::uint64_t serial)
+CoreModel::setReady(std::size_t slot, bool ready)
 {
-    while (!rob.empty() && rob.back().serial > serial) {
-        if (rob.back().op == OpClass::Load ||
-            rob.back().op == OpClass::Store)
-            --memInFlight;
-        rob.pop_back();
-    }
-    fetchQueue.clear();
-    // Rebuild the rename map from the surviving in-flight producers.
-    std::fill(renameMap.begin(), renameMap.end(), 0);
-    for (const RobEntry &entry : rob)
-        if (entry.dest != workload::noReg)
-            renameMap[static_cast<std::size_t>(entry.dest)] =
-                entry.serial;
+    const std::uint64_t bit = std::uint64_t{1} << (slot % 64);
+    if (ready)
+        readyBits[slot / 64] |= bit;
+    else
+        readyBits[slot / 64] &= ~bit;
 }
 
 void
@@ -59,32 +68,43 @@ CoreModel::doCommit()
 {
     const int commit_width = std::max(cfg.fetchWidth,
                                       cfg.backendWidth());
-    for (int k = 0; k < commit_width && !rob.empty(); ++k) {
-        RobEntry &head = rob.front();
-        if (head.state != State::Done || head.doneCycle > cycle)
+    for (int k = 0; k < commit_width && headSerial < nextSerial; ++k) {
+        const RobEntry &head = entryAt(headSerial);
+        if (head.state != State::Done)
             break;
-        if (head.op == OpClass::Load || head.op == OpClass::Store)
+        if (isMemory(head.op))
             --memInFlight;
         ++stats.instructions;
         ++headSerial;
-        rob.pop_front();
     }
 }
 
 void
 CoreModel::doComplete()
 {
-    for (RobEntry &entry : rob) {
-        if (entry.state != State::Issued || entry.doneCycle > cycle)
-            continue;
+    while (!completions.empty() && completions.top().first <= cycle) {
+        const std::uint64_t serial = completions.top().second;
+        completions.pop();
+        RobEntry &entry = entryAt(serial);
         entry.state = State::Done;
-        if (entry.isBranch) {
+
+        // Wake the consumers: the last pending operand makes one ready.
+        for (std::uint32_t link = entry.firstConsumer; link != noLink;) {
+            const std::size_t slot = link / 2;
+            RobEntry &consumer = rob[slot];
+            link = consumer.nextConsumer[link % 2];
+            if (--consumer.pending == 0)
+                setReady(slot, true);
+        }
+
+        if (entry.op == OpClass::Branch) {
             predictor.recordOutcome(entry.mispredicted);
             ++stats.branches;
             if (entry.mispredicted) {
                 ++stats.mispredicts;
-                // Redirect: squash younger work, restart fetch.
-                flushAfter(entry.serial);
+                // Fetch stopped at this branch, so nothing younger is
+                // in flight or queued: there is nothing to squash.
+                assert(serial + 1 == nextSerial && fetchQueue.empty());
                 fetchResumeCycle = cycle + 1;
                 fetchBlocked = false;
             }
@@ -92,29 +112,19 @@ CoreModel::doComplete()
     }
 }
 
-void
-CoreModel::doIssue()
+bool
+CoreModel::issueRange(std::size_t from, std::size_t end, int &alu_free,
+                      int &mem_free, int &branch_free)
 {
-    int alu_free = 0;
-    for (std::uint64_t busy : aluBusyUntil)
-        if (busy <= cycle)
-            ++alu_free;
-    int mem_free = cfg.memPipes;
-    int branch_free = cfg.branchPipes;
-
     const int wakeup = cfg.wakeupPenalty();
-    int window = 0;
-    for (RobEntry &entry : rob) {
+    for (std::size_t slot = nextReady(from, end); slot < end;
+         slot = nextReady(slot + 1, end)) {
         if (alu_free + mem_free + branch_free == 0)
-            break;
-        if (entry.state != State::Waiting)
-            continue;
-        if (++window > cfg.iqSize)
-            break; // outside the issue window
+            return false;
+        RobEntry &entry = rob[slot];
+        // earliestIssue grows with age: no younger entry is due either.
         if (entry.earliestIssue > cycle)
-            continue;
-        if (!operandReady(entry.prod1) || !operandReady(entry.prod2))
-            continue;
+            return false;
 
         switch (entry.op) {
           case OpClass::IntAlu:
@@ -188,59 +198,89 @@ CoreModel::doIssue()
             break;
         }
         entry.state = State::Issued;
+        setReady(slot, false);
+        --waiting;
+        completions.emplace(entry.doneCycle, entry.serial);
     }
+    return true;
+}
+
+void
+CoreModel::doIssue()
+{
+    // Dispatch never lets more than iqSize entries wait, so the whole
+    // IQ is always inside the issue window.
+    assert(waiting <= cfg.iqSize);
+
+    int alu_free = 0;
+    for (std::uint64_t busy : aluBusyUntil)
+        if (busy <= cycle)
+            ++alu_free;
+    int mem_free = cfg.memPipes;
+    int branch_free = cfg.branchPipes;
+
+    // Oldest first: from the head slot to the ring's end, then the
+    // wrapped-around younger slots.
+    const std::size_t head = slotOf(headSerial);
+    if (issueRange(head, rob.size(), alu_free, mem_free, branch_free))
+        issueRange(0, head, alu_free, mem_free, branch_free);
 }
 
 void
 CoreModel::doDispatch()
 {
-    int waiting = 0;
-    for (const RobEntry &entry : rob)
-        if (entry.state == State::Waiting)
-            ++waiting;
-
     for (int k = 0; k < cfg.fetchWidth; ++k) {
         if (fetchQueue.empty() ||
             fetchQueue.front().readyCycle > cycle)
             break;
-        if (static_cast<int>(rob.size()) >= cfg.robSize)
+        if (nextSerial - headSerial >= rob.size())
             break;
         if (waiting >= cfg.iqSize)
             break;
         const FetchedInst &fetched = fetchQueue.front();
-        const bool is_mem = fetched.inst.op == OpClass::Load ||
-                            fetched.inst.op == OpClass::Store;
+        const workload::TraceInst &inst = fetched.inst;
+        const bool is_mem = isMemory(inst.op);
         if (is_mem && memInFlight >= cfg.lsqSize)
             break;
 
-        RobEntry entry;
-        entry.op = fetched.inst.op;
-        entry.serial = nextSerial++;
+        // The slot's previous occupant, serial - robSize, committed.
+        const std::uint64_t serial = nextSerial++;
+        const std::size_t slot = slotOf(serial);
+        RobEntry &entry = rob[slot];
+        entry = RobEntry{};
+        entry.op = inst.op;
+        entry.serial = serial;
         entry.earliestIssue =
             cycle + static_cast<std::uint64_t>(
                         cfg.stagesIn(Region::Issue));
-        entry.address = fetched.inst.address;
-        entry.isBranch = fetched.inst.op == OpClass::Branch;
+        entry.address = inst.address;
         entry.mispredicted = fetched.mispredicted;
-        entry.pc = fetched.inst.pc;
-        entry.taken = fetched.inst.taken;
 
-        // Rename: newest in-flight producer per source register.
-        auto producer = [&](int reg) -> std::uint64_t {
-            if (reg == workload::noReg)
-                return 0;
-            return renameMap[static_cast<std::size_t>(reg)];
-        };
-        entry.prod1 = producer(fetched.inst.src1);
-        entry.prod2 = producer(fetched.inst.src2);
-        entry.dest = fetched.inst.dest;
-        if (entry.dest != workload::noReg)
-            renameMap[static_cast<std::size_t>(entry.dest)] =
-                entry.serial;
+        // Rename: wait on the newest producer of each source register
+        // that is still in flight and incomplete.
+        const int sources[2] = {inst.src1, inst.src2};
+        for (std::uint32_t src = 0; src < 2; ++src) {
+            if (sources[src] == workload::noReg)
+                continue;
+            const std::uint64_t producer =
+                renameMap[static_cast<std::size_t>(sources[src])];
+            if (producer < headSerial)
+                continue; // no producer, or producer committed
+            RobEntry &prod = entryAt(producer);
+            if (prod.state == State::Done)
+                continue;
+            entry.nextConsumer[src] = prod.firstConsumer;
+            prod.firstConsumer =
+                static_cast<std::uint32_t>(slot) * 2 + src;
+            ++entry.pending;
+        }
+        if (inst.dest != workload::noReg)
+            renameMap[static_cast<std::size_t>(inst.dest)] = serial;
+        if (entry.pending == 0)
+            setReady(slot, true);
 
         if (is_mem)
             ++memInFlight;
-        rob.push_back(entry);
         ++waiting;
         fetchQueue.pop_front();
     }

@@ -12,6 +12,13 @@
  * two-level data cache, and misprediction recovery timed by the
  * branch resolution depth plus front-end refill.
  *
+ * The model is event-driven: a cycle touches only the entries that
+ * commit, complete, issue or dispatch in it. The ROB is a ring
+ * indexed by serial, a min-heap yields the completions due, each
+ * producer wakes its consumers through intrusive lists, and a
+ * per-slot ready bitmap walked from the ROB head gives issue its
+ * candidates oldest first (DESIGN.md, "Core model (event-driven)").
+ *
  * Trace-driven simplification: wrong-path instructions are not
  * fetched; the misprediction cost is modeled as fetch-stall until
  * resolution plus the refill latency of the correct-path fetch group,
@@ -26,6 +33,10 @@
 
 #include <cstdint>
 #include <deque>
+#include <functional>
+#include <queue>
+#include <utility>
+#include <vector>
 
 #include "arch/config.hpp"
 #include "arch/memory.hpp"
@@ -82,22 +93,32 @@ class CoreModel
   private:
     enum class State : std::uint8_t { Waiting, Issued, Done };
 
+    /**
+     * Consumer-list links are intrusive: link id slot * 2 + k names
+     * source operand k of the entry in `slot`, so the lists need no
+     * storage beyond the ring itself.
+     */
+    static constexpr std::uint32_t noLink = 0xffffffffu;
+
+    /**
+     * One ROB slot. The ROB is a ring of `robSize` slots; the entry
+     * with serial s lives in slot s % robSize.
+     */
     struct RobEntry
     {
         workload::OpClass op = workload::OpClass::IntAlu;
         State state = State::Waiting;
-        /** Producer serials for the two sources (0 = ready). */
-        std::uint64_t prod1 = 0;
-        std::uint64_t prod2 = 0;
+        bool mispredicted = false;
+        /** Source operands whose producer has not completed yet. */
+        std::uint8_t pending = 0;
+        /** Head of this producer's consumer list (a link id). */
+        std::uint32_t firstConsumer = noLink;
+        /** Next link after operand k's link in its producer's list. */
+        std::uint32_t nextConsumer[2] = {noLink, noLink};
         std::uint64_t serial = 0;
         std::uint64_t earliestIssue = 0;
         std::uint64_t doneCycle = 0;
         std::uint64_t address = 0;
-        int dest = workload::noReg;
-        bool isBranch = false;
-        bool mispredicted = false;
-        std::uint64_t pc = 0;
-        bool taken = false;
     };
 
     struct FetchedInst
@@ -107,14 +128,23 @@ class CoreModel
         std::uint64_t readyCycle = 0;
     };
 
-    /** Is the producer with this serial complete? */
-    bool operandReady(std::uint64_t producer_serial) const;
+    /** (doneCycle, serial) of an issued entry, for the min-heap. */
+    using Completion = std::pair<std::uint64_t, std::uint64_t>;
 
-    /** Entry lookup by serial (must be in flight). */
-    RobEntry &entryOf(std::uint64_t serial);
+    std::size_t slotOf(std::uint64_t serial) const
+    {
+        return static_cast<std::size_t>(serial % rob.size());
+    }
+    RobEntry &entryAt(std::uint64_t serial) { return rob[slotOf(serial)]; }
 
-    /** Squash everything younger than the given serial. */
-    void flushAfter(std::uint64_t serial);
+    /** First ready slot in [from, end), or end. */
+    std::size_t nextReady(std::size_t from, std::size_t end) const;
+    void setReady(std::size_t slot, bool ready);
+
+    /** Issue the ready entries in slots [from, end), oldest first;
+     *  @return false once no further entry can issue this cycle. */
+    bool issueRange(std::size_t from, std::size_t end, int &alu_free,
+                    int &mem_free, int &branch_free);
 
     void doCommit();
     void doComplete();
@@ -129,17 +159,28 @@ class CoreModel
     SimStats stats;
 
     std::uint64_t cycle = 0;
+    /** Serial the next dispatched entry gets. */
     std::uint64_t nextSerial = 1;
-    /** Serial of the ROB head entry (oldest in flight). */
+    /** Serial of the ROB head entry (oldest in flight). In-flight
+     *  serials are exactly [headSerial, nextSerial). */
     std::uint64_t headSerial = 1;
-    std::deque<RobEntry> rob;
+    /** The ROB ring, robSize slots. */
+    std::vector<RobEntry> rob;
+    /** Issued entries by completion cycle, oldest serial first. */
+    std::priority_queue<Completion, std::vector<Completion>,
+                        std::greater<Completion>>
+        completions;
+    /** One bit per ROB slot: Waiting with every operand complete. */
+    std::vector<std::uint64_t> readyBits;
+    /** Waiting (dispatched, not yet issued) entries: IQ occupancy. */
+    int waiting = 0;
     std::deque<FetchedInst> fetchQueue;
     /** Fetch stalls until this cycle after a misprediction. */
     std::uint64_t fetchResumeCycle = 0;
     /** Fetch is blocked behind an unresolved mispredicted branch. */
     bool fetchBlocked = false;
-    /** Newest in-flight producer serial per architectural register
-     *  (0 = the architectural value is ready). */
+    /** Newest producer serial per architectural register (a serial
+     *  below headSerial has committed: the value is architectural). */
     std::vector<std::uint64_t> renameMap =
         std::vector<std::uint64_t>(workload::numArchRegs, 0);
     /** Per-ALU-pipe busy horizon (divide blocks its pipe). */

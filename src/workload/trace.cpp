@@ -192,6 +192,14 @@ TraceGenerator::TraceGenerator(BenchmarkProfile profile,
     streamAddr = 0x10000;
 }
 
+TraceGenerator::~TraceGenerator()
+{
+    static stats::Counter &stat_insts = stats::counter(
+        "workload.instructions.generated",
+        "synthetic trace instructions generated");
+    stat_insts += generated;
+}
+
 bool
 TraceGenerator::branchOutcome(std::size_t site_idx)
 {
@@ -232,10 +240,7 @@ TraceGenerator::nextAddress(bool &chased)
 TraceInst
 TraceGenerator::next()
 {
-    static stats::Counter &stat_insts = stats::counter(
-        "workload.instructions.generated",
-        "synthetic trace instructions generated");
-    ++stat_insts;
+    ++generated;
 
     TraceInst inst;
     inst.pc = pc;

@@ -120,6 +120,15 @@ class TraceGenerator
   public:
     TraceGenerator(BenchmarkProfile profile, std::uint64_t seed = 1);
 
+    /** Adds the instructions generated to the process-wide
+     *  `workload.instructions.generated` counter. */
+    ~TraceGenerator();
+
+    /** Neither copyable nor movable: a copy would count its
+     *  instructions twice. */
+    TraceGenerator(const TraceGenerator &) = delete;
+    TraceGenerator &operator=(const TraceGenerator &) = delete;
+
     /** Generate the next dynamic instruction. */
     TraceInst next();
 
@@ -149,6 +158,9 @@ class TraceGenerator
     /** Streaming pointers. */
     std::uint64_t streamAddr = 0;
     int lastLoadDest = noReg;
+    /** Instructions generated, published once on destruction (a
+     *  shared atomic per instruction contends across pool threads). */
+    std::uint64_t generated = 0;
 };
 
 } // namespace otft::workload

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include "util/logging.hpp"
+#include "util/stats_registry.hpp"
 #include "workload/trace.hpp"
 
 namespace otft::workload {
@@ -122,6 +123,20 @@ TEST(TraceGenerator, AddressesInsideWorkingSet)
         EXPECT_LE(inst.address,
                   0x10000 + profile.workingSetBytes + 64);
     }
+}
+
+TEST(TraceGenerator, GeneratedCounterMatchesInstructions)
+{
+    stats::Counter &generated =
+        stats::counter("workload.instructions.generated");
+    const std::uint64_t before = generated.value();
+    {
+        TraceGenerator gen(profileByName("vortex"), 3);
+        for (int i = 0; i < 12345; ++i)
+            (void)gen.next();
+    }
+    { TraceGenerator idle(profileByName("vortex"), 3); }
+    EXPECT_EQ(generated.value() - before, 12345u);
 }
 
 TEST(TraceGenerator, McfLeastLocal)
