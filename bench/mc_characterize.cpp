@@ -112,9 +112,12 @@ main(int argc, char **argv)
     const double mean_sigma_fraction =
         sigma_fraction_sum / static_cast<double>(stat.cells.size());
 
-    liberty::saveLibrary(mean_path, stat.mean);
-    liberty::saveLibrary(slow_path, stat.slow);
-    liberty::saveLibrary(fast_path, stat.fast);
+    liberty::saveLibrary(mean_path, stat.mean,
+                         liberty::mcProvenance(config, "mean"));
+    liberty::saveLibrary(slow_path, stat.slow,
+                         liberty::mcProvenance(config, "slow"));
+    liberty::saveLibrary(fast_path, stat.fast,
+                         liberty::mcProvenance(config, "fast"));
     std::printf("\nwrote %s, %s, %s\n", mean_path.c_str(),
                 slow_path.c_str(), fast_path.c_str());
     std::printf("mean relative delay sigma: %.3f (3-sigma slow corner "

@@ -15,11 +15,11 @@
  * per scenario (under --profile-dir, default cwd), ready for
  * flamegraph.pl / speedscope.
  *
+ * The profiler samples every 1 ms and reports the top 5 frames.
+ *
  * Environment:
  *   OTFT_BENCH_REPS, OTFT_BENCH_WARMUP  defaults for --reps/--warmup
  *                                       (flags take precedence)
- *   OTFT_PROFILE_PERIOD_US, OTFT_PROFILE_TOPN
- *                        sampling period / report rows for --profile
  */
 
 #include <cstdio>
@@ -96,11 +96,6 @@ main(int argc, char **argv)
     perf::SuiteOptions options;
     options.reps = envCount("OTFT_BENCH_REPS", options.reps);
     options.warmup = envCount("OTFT_BENCH_WARMUP", options.warmup);
-    options.profilePeriodUs = envCount("OTFT_PROFILE_PERIOD_US",
-                                       options.profilePeriodUs);
-    options.profileTopN = static_cast<int>(envCount(
-        "OTFT_PROFILE_TOPN",
-        static_cast<std::uint64_t>(options.profileTopN)));
     std::string out_path;
     std::string ingest_path;
     bool list_only = false;

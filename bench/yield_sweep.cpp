@@ -18,8 +18,8 @@
  *
  * The organic statistical library is loaded from
  * organic_mc_{mean,slow,fast}.lib when a previous mc_characterize run
- * left them in the working directory, and characterized on the fly
- * (--mc-samples / --mc-seed) otherwise.
+ * with the same --mc-samples / --mc-seed left them in the working
+ * directory, and characterized on the fly otherwise.
  *
  * Flags: --mc-samples N, --mc-seed S, --mc-yield Y (cli::Session).
  */
@@ -43,12 +43,18 @@ liberty::StatLibrary
 organicStatLibrary(const cli::Session &session)
 {
     const std::string prefix = "organic_mc";
-    std::optional<liberty::CellLibrary> mean =
-        liberty::tryLoadLibrary(prefix + "_mean.lib");
-    std::optional<liberty::CellLibrary> slow =
-        liberty::tryLoadLibrary(prefix + "_slow.lib");
-    std::optional<liberty::CellLibrary> fast =
-        liberty::tryLoadLibrary(prefix + "_fast.lib");
+    liberty::McConfig config;
+    config.samples = session.mcSamples();
+    config.seed = session.mcSeed();
+    config.baseName = prefix;
+    const auto load = [&](const char *corner) {
+        return liberty::tryLoadLibrary(
+            prefix + "_" + corner + ".lib",
+            liberty::mcProvenance(config, corner));
+    };
+    std::optional<liberty::CellLibrary> mean = load("mean");
+    std::optional<liberty::CellLibrary> slow = load("slow");
+    std::optional<liberty::CellLibrary> fast = load("fast");
     if (mean && slow && fast) {
         std::printf("loaded cached %s_{mean,slow,fast}.lib\n",
                     prefix.c_str());
@@ -56,18 +62,17 @@ organicStatLibrary(const cli::Session &session)
                                   std::move(*fast), {}, 0, 0, 3.0};
         return stat;
     }
-    liberty::McConfig config;
-    config.samples = session.mcSamples();
-    config.seed = session.mcSeed();
-    config.baseName = prefix;
     std::printf("characterizing %d Monte Carlo samples (seed %llu)\n",
                 config.samples,
                 static_cast<unsigned long long>(config.seed));
     liberty::StatLibrary stat =
         liberty::McCharacterizer(config).run();
-    liberty::saveLibrary(prefix + "_mean.lib", stat.mean);
-    liberty::saveLibrary(prefix + "_slow.lib", stat.slow);
-    liberty::saveLibrary(prefix + "_fast.lib", stat.fast);
+    liberty::saveLibrary(prefix + "_mean.lib", stat.mean,
+                         liberty::mcProvenance(config, "mean"));
+    liberty::saveLibrary(prefix + "_slow.lib", stat.slow,
+                         liberty::mcProvenance(config, "slow"));
+    liberty::saveLibrary(prefix + "_fast.lib", stat.fast,
+                         liberty::mcProvenance(config, "fast"));
     return stat;
 }
 

@@ -17,8 +17,14 @@
 #   --diag   observability smoke lane: run a short perf_suite pass
 #            with --diag-json and --metrics-jsonl enabled, then
 #            validate both artifacts with `diag_replay --check-diag`
-#            and `diag_replay --check-metrics`. Catches bit-rot in the
-#            telemetry plumbing without touching tier-1.
+#            and `diag_replay --check-metrics`. Then run one
+#            characterization pass with every consumer of trace::Scope
+#            on at once (--trace-json, --diag-json, --profile-folded)
+#            and check that the scopes reached all three: the timeline
+#            has liberty.point.measure events, diag has
+#            liberty.<cell>.pin<n> contexts, and a folded stack holds
+#            both a liberty.* label and mna.solve_newton. Catches
+#            bit-rot in the telemetry plumbing without touching tier-1.
 #   --profile  profiler smoke lane: run one scenario under the
 #            sampling profiler, check the folded flamegraph artifact
 #            is non-empty and the otft-prof-1 footer parses, then run
@@ -128,6 +134,37 @@ if [[ "${DIAG_SMOKE}" == "1" ]]; then
         --metrics-jsonl "${METRICS_OUT}" --metrics-period-ms 20
     "${BUILD_DIR}/bench/diag_replay" --check-diag "${DIAG_OUT}"
     "${BUILD_DIR}/bench/diag_replay" --check-metrics "${METRICS_OUT}"
+    # One characterization pass feeding timeline, diag and profiler at
+    # once: each labeled scope must reach all three.
+    TRACE_OUT="${BUILD_DIR}/scope_smoke_trace.json"
+    SCOPE_DIAG_OUT="${BUILD_DIR}/scope_smoke_diag.json"
+    FOLDED_OUT="${BUILD_DIR}/scope_smoke.folded"
+    "${BUILD_DIR}/bench/perf_suite" --reps 1 --warmup 0 \
+        --filter liberty.nldm_characterize \
+        --trace-json "${TRACE_OUT}" \
+        --diag-json "${SCOPE_DIAG_OUT}" \
+        --profile-folded "${FOLDED_OUT}"
+    "${BUILD_DIR}/bench/diag_replay" --check-diag "${SCOPE_DIAG_OUT}"
+    python3 - "${TRACE_OUT}" "${SCOPE_DIAG_OUT}" "${FOLDED_OUT}" <<'PY'
+import json
+import re
+import sys
+
+trace_path, diag_path, folded_path = sys.argv[1:4]
+events = json.load(open(trace_path))
+if not any(e["name"] == "liberty.point.measure" for e in events):
+    sys.exit("error: timeline has no liberty.point.measure event")
+contexts = json.load(open(diag_path))["contexts"]
+if not any(re.fullmatch(r"liberty\..+\.pin\d+", c) for c in contexts):
+    sys.exit("error: diag has no liberty.*.pin* context")
+stacks = [line.rsplit(" ", 1)[0].split(";") for line in open(folded_path)]
+if not any("mna.solve_newton" in s and
+           any(f.startswith("liberty.") for f in s) for s in stacks):
+    sys.exit("error: no folded stack holds a liberty. label and "
+             "mna.solve_newton")
+print(f"scope consumers ok: {len(events)} events, "
+      f"{len(contexts)} contexts, {len(stacks)} stacks")
+PY
     echo "diag lane ok"
     exit 0
 fi

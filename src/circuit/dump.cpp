@@ -14,6 +14,7 @@
 #include "util/logging.hpp"
 #include "util/result_cache.hpp"
 #include "util/stats_registry.hpp"
+#include "util/trace.hpp"
 
 namespace otft::circuit::dump {
 
@@ -79,6 +80,29 @@ numberArrayOf(const json::Value &v)
     for (const json::Value &item : v.asArray())
         out.push_back(numberOf(item));
     return out;
+}
+
+/** A number array of exactly `n` entries; fatal otherwise. */
+std::vector<double>
+numberArrayOf(const json::Value &v, std::size_t n, const char *what)
+{
+    std::vector<double> out = numberArrayOf(v);
+    if (out.size() != n)
+        fatal("diag dump: ", what, " needs ", n, " numbers, got ",
+              out.size());
+    return out;
+}
+
+/**
+ * A node id, iteration count or index: a non-negative integer that
+ * fits an int. (Casting anything else to int is undefined.)
+ */
+int
+indexOf(double v, const char *what)
+{
+    if (!(v >= 0.0 && v <= 1e9) || v != std::floor(v))
+        fatal("diag dump: ", what, " must be a non-negative integer");
+    return static_cast<int>(v);
 }
 
 /**
@@ -320,7 +344,7 @@ writeFailureDump(const Circuit &circuit, const NewtonConfig &config,
     try {
         body = serializeDump(circuit, config, x0, kind, time,
                              source_scale, dt, x_prev, reason,
-                             diag::ScopedContext::current(),
+                             trace::currentLabel(),
                              collector.attributes(), trace);
     } catch (const FatalError &e) {
         // Diagnostics must never take down the run they diagnose.
@@ -380,7 +404,7 @@ parseFailureDump(const std::string &text)
     const json::Value &newton = doc.at("newton");
     out.config.gmin = numberOf(newton.at("gmin"));
     out.config.maxIterations =
-        static_cast<int>(numberOf(newton.at("max_iterations")));
+        indexOf(numberOf(newton.at("max_iterations")), "max_iterations");
     out.config.tolerance = numberOf(newton.at("tolerance"));
     out.config.maxStep = numberOf(newton.at("max_step"));
     out.config.chord = newton.at("chord").asBool();
@@ -398,32 +422,30 @@ parseFailureDump(const std::string &text)
         out.circuit.addNode(nodes[n].asString());
 
     for (const json::Value &r : ckt.at("resistors").asArray()) {
-        const auto v = numberArrayOf(r);
-        out.circuit.addResistor(static_cast<NodeId>(v.at(0)),
-                                static_cast<NodeId>(v.at(1)), v.at(2));
+        const auto v = numberArrayOf(r, 3, "resistor");
+        out.circuit.addResistor(indexOf(v[0], "node"),
+                                indexOf(v[1], "node"), v[2]);
     }
     for (const json::Value &c : ckt.at("capacitors").asArray()) {
-        const auto v = numberArrayOf(c);
-        out.circuit.addCapacitor(static_cast<NodeId>(v.at(0)),
-                                 static_cast<NodeId>(v.at(1)), v.at(2));
+        const auto v = numberArrayOf(c, 3, "capacitor");
+        out.circuit.addCapacitor(indexOf(v[0], "node"),
+                                 indexOf(v[1], "node"), v[2]);
     }
     for (const json::Value &s : ckt.at("vsources").asArray()) {
         out.circuit.addVoltageSource(
-            static_cast<NodeId>(s.number("pos")),
-            static_cast<NodeId>(s.number("neg")),
+            indexOf(s.number("pos"), "node"),
+            indexOf(s.number("neg"), "node"),
             Pwl::points(numberArrayOf(s.at("ts")),
                         numberArrayOf(s.at("vs"))));
     }
     for (const json::Value &s : ckt.at("isources").asArray()) {
-        const auto v = numberArrayOf(s);
-        out.circuit.addCurrentSource(static_cast<NodeId>(v.at(0)),
-                                     static_cast<NodeId>(v.at(1)),
-                                     v.at(2));
+        const auto v = numberArrayOf(s, 3, "current source");
+        out.circuit.addCurrentSource(indexOf(v[0], "node"),
+                                     indexOf(v[1], "node"), v[2]);
     }
     for (const json::Value &f : ckt.at("fets").asArray()) {
-        const auto geom = numberArrayOf(f.at("geometry"));
-        if (geom.size() != 3)
-            fatal("diag dump: fet geometry needs [w, l, ci]");
+        const auto geom = numberArrayOf(f.at("geometry"), 3,
+                                        "fet geometry [w, l, ci]");
         device::Geometry geometry;
         geometry.w = geom[0];
         geometry.l = geom[1];
@@ -434,9 +456,8 @@ parseFailureDump(const std::string &text)
         out.circuit.addFet(
             rebuildModel(f.string("model"), polarity, geometry,
                          numberArrayOf(f.at("params"))),
-            static_cast<NodeId>(f.number("d")),
-            static_cast<NodeId>(f.number("g")),
-            static_cast<NodeId>(f.number("s")), f.string("name"));
+            indexOf(f.number("d"), "node"), indexOf(f.number("g"), "node"),
+            indexOf(f.number("s"), "node"), f.string("name"));
     }
 
     out.x0 = numberArrayOf(doc.at("x0"));
@@ -446,11 +467,9 @@ parseFailureDump(const std::string &text)
     }
 
     for (const json::Value &s : doc.at("trace").asArray()) {
-        const auto v = numberArrayOf(s);
-        if (v.size() != 4)
-            fatal("diag dump: trace rows are "
-                  "[iter, residual, update, chord]");
-        out.trace.push_back({static_cast<int>(v[0]), v[1], v[2],
+        const auto v = numberArrayOf(
+            s, 4, "trace row [iter, residual, update, chord]");
+        out.trace.push_back({indexOf(v[0], "iteration"), v[1], v[2],
                              v[3] != 0.0});
     }
     return out;

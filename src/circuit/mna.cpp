@@ -5,8 +5,8 @@
 
 #include "circuit/dump.hpp"
 #include "util/logging.hpp"
-#include "util/profiler.hpp"
 #include "util/stats_registry.hpp"
+#include "util/trace.hpp"
 
 namespace otft::circuit {
 
@@ -294,8 +294,7 @@ Mna::solveNewton(Solution &x, double time, double source_scale, double dt,
     (void)rates_registered;
 
     ++stat_solves;
-    stats::ScopedTimer timer(stat_time);
-    prof::FrameGuard prof_frame("mna.solve_newton");
+    trace::Scope scope("mna.solve_newton", &stat_time);
 
     const diag::SolveKind solve_kind = dt > 0.0
                                            ? diag::SolveKind::TransientStep
@@ -317,7 +316,7 @@ Mna::solveNewton(Solution &x, double time, double source_scale, double dt,
     // with a small conductance added to the node diagonals (rescues
     // e.g. momentarily floating nodes when gmin is disabled).
     const auto refactor = [&]() -> bool {
-        prof::FrameGuard lu_frame("mna.lu_factor");
+        trace::Scope lu_scope("mna.lu_factor");
         assemble(x, time, source_scale, dt, x_prev, &jac, residual);
         if (lu.factor(jac))
             return true;

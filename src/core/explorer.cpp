@@ -115,11 +115,7 @@ ArchExplorer::ArchExplorer(const liberty::CellLibrary &library,
 std::vector<double>
 ArchExplorer::measureIpc(const arch::CoreConfig &config)
 {
-    static stats::Accumulator &stat_sim_time = stats::accumulator(
-        "explorer.point.sim_time",
-        "seconds simulating IPC per design point");
     OTFT_TRACE_SCOPE("explorer.point.simulate");
-    stats::ScopedTimer timer(stat_sim_time);
 
     // Each workload simulates on its own generator + core model, so
     // the seven IPC runs fan out; slots land in paperWorkloads()
@@ -146,15 +142,10 @@ ArchExplorer::evaluateWith(CoreSynthesizer &synthesizer,
     static stats::Counter &stat_points = stats::counter(
         "explorer.points.evaluated",
         "design points synthesized and simulated");
-    static stats::Accumulator &stat_synth_time = stats::accumulator(
-        "explorer.point.synth_time",
-        "seconds synthesizing per design point");
-    OTFT_TRACE_SCOPE("explorer.point.evaluate");
-    diag::ScopedContext diag_ctx(
-        diag::labelsWanted()
-            ? "explorer.point.fe" + std::to_string(config.fetchWidth) +
-                  ".alu" + std::to_string(config.aluPipes)
-            : std::string());
+    OTFT_TRACE_SCOPE_LABELED(
+        "explorer.point.evaluate",
+        "explorer.point.fe" + std::to_string(config.fetchWidth) +
+            ".alu" + std::to_string(config.aluPipes));
     ++stat_points;
 
     // Key on everything that determines the result: library content,
@@ -185,10 +176,7 @@ ArchExplorer::evaluateWith(CoreSynthesizer &synthesizer,
         return point;
 
     point.config = config;
-    {
-        stats::ScopedTimer timer(stat_synth_time);
-        point.timing = synthesizer.synthesize(config);
-    }
+    point.timing = synthesizer.synthesize(config);
     point.ipc = measureIpc(config);
     point.meanIpc = mean(point.ipc);
     point.performance = point.meanIpc * point.timing.frequency;

@@ -6,7 +6,6 @@
 #include "circuit/dc.hpp"
 #include "circuit/transient.hpp"
 #include "liberty/serialize.hpp"
-#include "util/diag.hpp"
 #include "util/logging.hpp"
 #include "util/parallel.hpp"
 #include "util/progress.hpp"
@@ -42,10 +41,8 @@ fanInOf(const std::string &name)
  * producing algorithm changes in a result-affecting way.
  */
 void
-hashMeasurementContext(cache::KeyHasher &h,
-                       const cells::CellFactory &factory,
-                       const CharacterizerConfig &cfg,
-                       const circuit::TransientConfig &tran)
+hashInputs(cache::KeyHasher &h, const cells::CellFactory &factory,
+           const CharacterizerConfig &cfg)
 {
     const device::Level61Params &p = factory.params();
     h.add(p.vt0).add(p.vdsRef).add(p.dibl).add(p.diblVmax);
@@ -61,7 +58,15 @@ hashMeasurementContext(cache::KeyHasher &h,
 
     h.add(cfg.dt).add(cfg.slewLow).add(cfg.slewHigh);
     h.add(cfg.settleScale);
+}
 
+void
+hashMeasurementContext(cache::KeyHasher &h,
+                       const cells::CellFactory &factory,
+                       const CharacterizerConfig &cfg,
+                       const circuit::TransientConfig &tran)
+{
+    hashInputs(h, factory, cfg);
     h.add(tran.dt).add(tran.tStop).add(tran.fixedStep);
     h.add(tran.lteTol).add(tran.dtMin).add(tran.dtMax);
     const circuit::NewtonConfig &n = tran.newton;
@@ -119,14 +124,10 @@ Characterizer::measurePoint(const std::string &name, int pin, double slew,
     static stats::Counter &stat_points = stats::counter(
         "liberty.points.measured",
         "NLDM grid points measured (one transient each)");
-    OTFT_TRACE_SCOPE("liberty.point.measure");
-
-    // Aggregate this point's solver telemetry under its arc; the
-    // label string is only built when some consumer wants it.
-    diag::ScopedContext diag_ctx(
-        diag::labelsWanted()
-            ? "liberty." + name + ".pin" + std::to_string(pin)
-            : std::string());
+    // Aggregate this point's solver telemetry under its arc.
+    OTFT_TRACE_SCOPE_LABELED("liberty.point.measure",
+                             "liberty." + name + ".pin" +
+                                 std::to_string(pin));
     ProgressTick tick(progress_);
 
     const double vdd = factory.supply().vdd;
@@ -396,9 +397,8 @@ Characterizer::characterizeFlop() const
     for (double m : config_.loadMultipliers)
         load_axis.push_back(m * cell.inputCap);
 
-    diag::ScopedContext diag_ctx(
-        diag::labelsWanted() ? std::string("liberty.dff")
-                             : std::string());
+    trace::Scope flop_scope("liberty.flop.measure", nullptr,
+                            "liberty.dff");
 
     std::vector<double> clkq_rise, q_slew_rise;
     for (double load : load_axis) {
@@ -554,14 +554,30 @@ makeOrganicLibrary(CharacterizerConfig config)
     return characterizer.build();
 }
 
-CellLibrary
-cachedOrganicLibrary(const std::string &path)
+std::string
+Characterizer::provenance() const
 {
-    return loadOrBuild(path, [] { return makeOrganicLibrary(); });
+    cache::KeyHasher h;
+    h.add(characterizerVersion);
+    hashInputs(h, factory, config_);
+    h.add(config_.slewAxis).add(config_.loadMultipliers);
+    return std::string(characterizerVersion) + ":" +
+           cache::hexDigest(h.digest());
 }
 
+namespace {
+
+/** Cache `characterizer`'s library at `path` under its provenance. */
 CellLibrary
-makeDnttLibrary(double mobility_scale)
+cachedLibrary(const std::string &path, const Characterizer &characterizer)
+{
+    return loadOrBuild(path, characterizer.provenance(),
+                       [&characterizer] { return characterizer.build(); });
+}
+
+/** A DNTT-like device: pentacene with scaled mobility and timescale. */
+Characterizer
+dnttCharacterizer(double mobility_scale)
 {
     if (mobility_scale <= 0.0)
         fatal("makeDnttLibrary: mobility scale must be positive");
@@ -573,16 +589,27 @@ makeDnttLibrary(double mobility_scale)
     for (double &slew : config.slewAxis)
         slew /= mobility_scale;
     config.dt /= mobility_scale;
-    Characterizer characterizer(factory, config);
-    return characterizer.build();
+    return Characterizer(std::move(factory), config);
+}
+
+} // namespace
+
+CellLibrary
+makeDnttLibrary(double mobility_scale)
+{
+    return dnttCharacterizer(mobility_scale).build();
+}
+
+CellLibrary
+cachedOrganicLibrary(const std::string &path)
+{
+    return cachedLibrary(path, Characterizer{cells::CellFactory{}});
 }
 
 CellLibrary
 cachedDnttLibrary(const std::string &path, double mobility_scale)
 {
-    return loadOrBuild(path, [mobility_scale] {
-        return makeDnttLibrary(mobility_scale);
-    });
+    return cachedLibrary(path, dnttCharacterizer(mobility_scale));
 }
 
 } // namespace otft::liberty

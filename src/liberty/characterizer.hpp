@@ -13,6 +13,7 @@
 #ifndef OTFT_LIBERTY_CHARACTERIZER_HPP
 #define OTFT_LIBERTY_CHARACTERIZER_HPP
 
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -76,6 +77,14 @@ class Characterizer
 
     const CharacterizerConfig &config() const { return config_; }
 
+    /**
+     * Provenance key of the library build() makes ("otft-char-1:<16
+     * hex>"): the characterizer version, the device parameters,
+     * sizing, supply and grid. saveLibrary stamps it; tryLoadLibrary
+     * rebuilds a file whose stamp differs.
+     */
+    std::string provenance() const;
+
   private:
     /** Build a fresh instance of the named cell with a load. */
     cells::BuiltCell instantiate(const std::string &name,
@@ -127,6 +136,13 @@ void applyOrganicTechnology(CellLibrary &library,
  * a few seconds of transient simulation).
  */
 CellLibrary makeOrganicLibrary(CharacterizerConfig config = {});
+
+/**
+ * Version of the characterization algorithm, stamped into every
+ * library provenance key. Bump it when a change alters `.lib` values
+ * for the same inputs, so cached files from older builds rebuild.
+ */
+inline constexpr const char *characterizerVersion = "otft-char-1";
 
 /**
  * The organic library, cached in a liberty text file at `path` so the

@@ -3,10 +3,10 @@
 #include <algorithm>
 #include <cmath>
 
-#include "util/diag.hpp"
 #include "util/logging.hpp"
 #include "util/parallel.hpp"
 #include "util/progress.hpp"
+#include "util/result_cache.hpp"
 #include "util/stats.hpp"
 #include "util/stats_registry.hpp"
 #include "util/trace.hpp"
@@ -291,11 +291,10 @@ McCharacterizer::run() const
         n_tasks, [&](std::size_t k) {
             const int sample = static_cast<int>(k / n_cells);
             const std::string &name = config_.roster[k % n_cells];
-            OTFT_TRACE_SCOPE("liberty.mc.sample_cell");
-            diag::ScopedContext diag_ctx(
-                diag::labelsWanted()
-                    ? "mc.sample" + std::to_string(sample) + "." + name
-                    : std::string());
+            OTFT_TRACE_SCOPE_LABELED("liberty.mc.sample_cell",
+                                     "mc.sample" +
+                                         std::to_string(sample) + "." +
+                                         name);
             ++stat_cells;
             const std::int64_t t0 = stats::monotonicNowNs();
             cells::CellFactory factory(sampleParams(sample, name),
@@ -535,6 +534,27 @@ validateStatLibrary(const CellLibrary &mean, const CellLibrary &slow,
         }
     }
     return std::string();
+}
+
+std::string
+mcProvenance(const McConfig &config, const std::string &corner)
+{
+    const Characterizer nominal(
+        cells::CellFactory(config.nominal, config.sizing, config.supply),
+        config.grid);
+    cache::KeyHasher h;
+    h.add(nominal.provenance());
+    h.add(config.samples).add(config.seed).add(config.cornerSigma);
+    const device::VariationConfig &v = config.variation;
+    h.add(v.vtSigma).add(v.mobilityLnSigma).add(v.leakageDecadeSigma);
+    h.add(v.dieVtSigma).add(v.dieMobilityLnSigma);
+    h.add(v.vtShiftMax).add(v.mobilityFactorMin);
+    h.add(v.mobilityFactorMax).add(v.leakageDecadeMax);
+    for (const std::string &cell : config.roster)
+        h.add(cell);
+    h.add(config.baseName).add(corner);
+    return std::string(characterizerVersion) + ":mc:" +
+           cache::hexDigest(h.digest());
 }
 
 } // namespace otft::liberty

@@ -138,6 +138,15 @@ class McCharacterizer
 };
 
 /**
+ * Provenance key of one corner library ("mean", "slow", "fast") of
+ * the Monte Carlo run `config`: the provenance of the nominal
+ * device and grid, plus the samples, seed, corner sigma, variation
+ * widths, roster, base name, and the corner. See liberty/serialize.
+ */
+std::string mcProvenance(const McConfig &config,
+                         const std::string &corner);
+
+/**
  * Analytic corner derivation for technologies without a Monte Carlo
  * flow: every delay/slew entry of `base` gets a synthetic sigma of
  * `sigmaFraction` times its mean, and slow/fast corners are derated

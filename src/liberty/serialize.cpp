@@ -10,6 +10,13 @@ namespace otft::liberty {
 
 namespace {
 
+/**
+ * Largest table axis accepted on load. Real grids are a handful of
+ * points; the bound keeps a corrupt header from sizing a huge
+ * allocation (or overflowing n_slew * n_load).
+ */
+constexpr std::size_t maxAxisPoints = 1024;
+
 void
 writeTable(std::ostream &os, const char *tag, const NldmTable &table)
 {
@@ -35,6 +42,9 @@ readTable(std::istream &is, const std::string &expected_tag)
     if (!is || tag != expected_tag)
         fatal("liberty: expected table tag ", expected_tag, ", got ",
               tag);
+    if (n_slew > maxAxisPoints || n_load > maxAxisPoints)
+        fatal("liberty: table ", expected_tag, " is ", n_slew, "x",
+              n_load, ", beyond the ", maxAxisPoints, "-point limit");
     std::vector<double> slews(n_slew), loads(n_load),
         values(n_slew * n_load);
     for (auto &v : slews)
@@ -90,10 +100,16 @@ writeLibrary(std::ostream &os, const CellLibrary &library)
 }
 
 CellLibrary
-readLibrary(std::istream &is)
+readLibrary(std::istream &is, std::string *provenance)
 {
     std::string keyword, lib_name;
-    is >> keyword >> lib_name;
+    is >> keyword;
+    std::string stamp;
+    if (keyword == "provenance")
+        is >> stamp >> keyword;
+    if (provenance != nullptr)
+        *provenance = stamp;
+    is >> lib_name;
     if (!is || keyword != "library")
         fatal("liberty: not a library file");
 
@@ -162,11 +178,13 @@ readLibrary(std::istream &is)
 }
 
 void
-saveLibrary(const std::string &path, const CellLibrary &library)
+saveLibrary(const std::string &path, const CellLibrary &library,
+            const std::string &provenance)
 {
     std::ofstream os(path);
     if (!os)
         fatal("liberty: cannot write ", path);
+    os << "provenance " << provenance << "\n";
     writeLibrary(os, library);
 }
 
@@ -180,7 +198,7 @@ loadLibrary(const std::string &path)
 }
 
 std::optional<CellLibrary>
-tryLoadLibrary(const std::string &path)
+tryLoadLibrary(const std::string &path, const std::string &provenance)
 {
     static stats::Counter &stat_hits = stats::counter(
         "liberty.cache.hits", "library loads served from disk cache");
@@ -194,7 +212,15 @@ tryLoadLibrary(const std::string &path)
         return std::nullopt;
     }
     try {
-        CellLibrary library = readLibrary(is);
+        std::string stamp;
+        CellLibrary library = readLibrary(is, &stamp);
+        if (stamp != provenance) {
+            ++stat_misses;
+            warn("liberty: cached library at ", path, " was built from ",
+                 stamp.empty() ? "unrecorded" : "other",
+                 " inputs; rebuilding");
+            return std::nullopt;
+        }
         ++stat_hits;
         return library;
     } catch (const FatalError &) {

@@ -1,11 +1,12 @@
 /**
  * @file
  * Shared driver shell for the bench and example binaries: strips the
- * observability flags from argv, honors the OTFT_* environment
- * overrides, and on exit emits the stats report, the trace timeline,
- * and (for benches) a one-line machine-readable JSON footer.
+ * observability flags from argv and on exit emits the stats report,
+ * the trace timeline, and (for benches) a one-line machine-readable
+ * JSON footer.
  *
- * Flags / environment handled:
+ * Flags handled (the only way to set these values; the environment
+ * is not consulted):
  *   --stats-json <path>   write the stats registry as JSON on exit
  *   --stats               print the stats text table to stderr on exit
  *   --trace-json <path>   collect a Chrome trace_event timeline
@@ -16,32 +17,14 @@
  *   --metrics-jsonl <path>  stream periodic registry snapshots (JSONL)
  *   --metrics-period-ms <n> sampling period for --metrics-jsonl
  *                           (default 100)
- *   --profile-folded <path>  run the sampling profiler and write the
- *                            collapsed-stack (flamegraph) file on exit
- *   --profile-period-us <n>  sampling period for --profile-folded
- *                            (default 1000)
- *   --profile-topn <n>       rows in the top-frames report and the
- *                            footer profile section (default 5)
+ *   --profile-folded <path>  run the sampling profiler (1 ms period)
+ *                            and write the collapsed-stack
+ *                            (flamegraph) file on exit; the top-5
+ *                            frames go to stderr and the footer
  *   --mc-samples <n>      Monte Carlo process samples (default 16)
  *   --mc-seed <n>         Monte Carlo master seed (default 1)
  *   --mc-yield <y>        target parametric yield in (0, 1)
  *                         (default 0.99)
- *   OTFT_STATS=1          same as --stats
- *   OTFT_STATS_JSON=path  same as --stats-json
- *   OTFT_TRACE_JSON=path  same as --trace-json
- *   OTFT_JOBS=n           same as --jobs
- *   OTFT_CACHE_DIR=dir    same as --cache-dir
- *   OTFT_CACHE=0          disable result-cache memoization entirely
- *   OTFT_DIAG_JSON=path   same as --diag-json
- *   OTFT_DIAG_DIR=dir     same as --diag-dir
- *   OTFT_METRICS_JSONL=path       same as --metrics-jsonl
- *   OTFT_METRICS_PERIOD_MS=n      same as --metrics-period-ms
- *   OTFT_PROFILE_FOLDED=path      same as --profile-folded
- *   OTFT_PROFILE_PERIOD_US=n      same as --profile-period-us
- *   OTFT_PROFILE_TOPN=n           same as --profile-topn
- *   OTFT_MC_SAMPLES=n     same as --mc-samples
- *   OTFT_MC_SEED=n        same as --mc-seed
- *   OTFT_MC_YIELD=y       same as --mc-yield
  *
  * --jobs must be a positive integer; 0, negative, or non-numeric
  * values are fatal. Values above the hardware concurrency are clamped
@@ -49,10 +32,10 @@
  * process-wide parallel::jobs() default; without the flag the default
  * is the hardware concurrency.
  *
- * Flags take precedence over the environment. Output paths are
- * validated up front: an unwritable --stats-json/--trace-json target
- * is a fatal() at construction (clear message, nonzero exit), not a
- * silent warning after the run has burned its compute.
+ * Output paths are validated up front: an unwritable
+ * --stats-json/--trace-json target is a fatal() at construction
+ * (clear message, nonzero exit), not a silent warning after the run
+ * has burned its compute.
  */
 
 #ifndef OTFT_UTIL_CLI_HPP
@@ -123,8 +106,6 @@ class Session
 
     /** Profiler settings (exposed for tests). */
     const std::string &profileFolded() const { return profilePath; }
-    std::uint64_t profilePeriodUs() const { return profilePeriod; }
-    int profileTopN() const { return profileTop; }
 
     /**
      * Monte Carlo settings for benches that characterize or sign off
@@ -147,8 +128,6 @@ class Session
     std::string diagDir;
     std::string metricsPath;
     std::string profilePath;
-    std::uint64_t profilePeriod = 1000;
-    int profileTop = 5;
     int mcSamples_ = 16;
     std::uint64_t mcSeed_ = 1;
     double mcYield_ = 0.99;

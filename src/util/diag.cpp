@@ -7,15 +7,11 @@
 
 #include "util/json.hpp"
 #include "util/logging.hpp"
-#include "util/profiler.hpp"
 #include "util/stats_registry.hpp"
 
 namespace otft::diag {
 
 namespace {
-
-/** The calling thread's context label. */
-thread_local std::string t_context;
 
 /** JSON number with the registry's non-finite policy (emit 0). */
 void
@@ -48,7 +44,7 @@ Collector::instance()
 void
 Collector::setEnabled(bool enabled)
 {
-    enabled_.store(enabled, std::memory_order_relaxed);
+    trace::detail::setConsumer(trace::detail::Diag, enabled);
     if (!enabled)
         dumps_.store(false, std::memory_order_relaxed);
 }
@@ -69,7 +65,7 @@ Collector::setDumpDirectory(const std::string &dir)
     if (ec)
         fatal("diag: cannot create dump dir '", dir, "': ",
               ec.message());
-    enabled_.store(true, std::memory_order_relaxed);
+    trace::detail::setConsumer(trace::detail::Diag, true);
     dumps_.store(true, std::memory_order_relaxed);
 }
 
@@ -256,45 +252,7 @@ recordEvent(Event event)
     Collector &c = Collector::instance();
     if (!c.enabled())
         return;
-    c.recordEvent(ScopedContext::current(), event);
-}
-
-ScopedContext::ScopedContext(std::string label)
-{
-    if (label.empty())
-        return;
-    // The label doubles as one profiler stack frame, so a context is
-    // pushed whenever either consumer wants labels (labelsWanted()).
-    if (prof::enabled()) {
-        prof::pushFrame(label);
-        profPushed = true;
-    }
-    if (!enabled())
-        return;
-    saved = t_context;
-    t_context = saved.empty() ? std::move(label)
-                              : saved + "/" + label;
-    pushed = true;
-}
-
-ScopedContext::~ScopedContext()
-{
-    if (pushed)
-        t_context = std::move(saved);
-    if (profPushed)
-        prof::popFrame();
-}
-
-const std::string &
-ScopedContext::current()
-{
-    return t_context;
-}
-
-bool
-labelsWanted()
-{
-    return enabled() || prof::enabled();
+    c.recordEvent(trace::currentLabel(), event);
 }
 
 SolveProbe::SolveProbe(SolveKind kind)
@@ -305,7 +263,7 @@ SolveProbe::SolveProbe(SolveKind kind)
     if (!active_)
         return;
     dumps_ = c.dumpsEnabled();
-    context_ = ScopedContext::current();
+    context_ = trace::currentLabel();
     ring_.reserve(8);
 }
 

@@ -9,9 +9,10 @@
  * solve, one branch per Newton iteration), so production runs pay
  * nothing. When `--diag-json`/`--diag-dir` turn the collector on:
  *
- *  - callers label their work with ScopedContext ("liberty.inv.pin0",
- *    "explorer.point.fe2.alu2"); the label is thread-local, so every
- *    worker of the parallel pool aggregates under its own task;
+ *  - callers label their work through trace::Scope labels
+ *    ("liberty.inv.pin0", "explorer.point.fe2.alu2"); the joined
+ *    label is per thread (trace::currentLabel()), so every worker of
+ *    the parallel pool aggregates under its own task;
  *  - circuit::Mna::solveNewton opens a SolveProbe per solve and feeds
  *    it per-iteration residual/update norms (ring-buffered) and
  *    chord-vs-full decisions;
@@ -37,6 +38,8 @@
 #include <mutex>
 #include <string>
 #include <vector>
+
+#include "util/trace.hpp"
 
 namespace otft::diag {
 
@@ -102,12 +105,15 @@ class Collector
   public:
     static Collector &instance();
 
-    /** Master enable; everything is inert while false (the default). */
+    /**
+     * Master enable; everything is inert while false (the default).
+     * While on, trace::Scope labels build the per-thread context.
+     */
     void setEnabled(bool enabled);
     bool
     enabled() const
     {
-        return enabled_.load(std::memory_order_relaxed);
+        return (trace::detail::consumers() & trace::detail::Diag) != 0;
     }
 
     /**
@@ -164,7 +170,6 @@ class Collector
   private:
     Collector() = default;
 
-    std::atomic<bool> enabled_{false};
     std::atomic<bool> dumps_{false};
     mutable std::mutex mutex_;
     std::string dumpDir_;
@@ -182,47 +187,8 @@ enabled()
     return Collector::instance().enabled();
 }
 
-/**
- * @return true when some consumer of context labels is active — the
- * diagnostics collector or the sampling profiler (ScopedContext feeds
- * both). Call sites that build labels dynamically should gate on this
- * rather than enabled(), so profiled runs get labeled stacks:
- *
- *     diag::ScopedContext ctx(
- *         diag::labelsWanted() ? "liberty." + name : std::string());
- */
-bool labelsWanted();
-
 /** Record an event under the calling thread's current context. */
 void recordEvent(Event event);
-
-/**
- * Thread-local context label for aggregation ("liberty.inv.pin0").
- * Nested scopes join with '/'. The label is also pushed as a frame on
- * the sampling profiler's context stack while a collection runs.
- * Constructing with an empty label is a no-op, so call sites can skip
- * the string build entirely when no consumer is active:
- *
- *     diag::ScopedContext ctx(
- *         diag::labelsWanted() ? "liberty." + name : std::string());
- */
-class ScopedContext
-{
-  public:
-    explicit ScopedContext(std::string label);
-    ~ScopedContext();
-
-    ScopedContext(const ScopedContext &) = delete;
-    ScopedContext &operator=(const ScopedContext &) = delete;
-
-    /** The calling thread's current label ("" when unlabeled). */
-    static const std::string &current();
-
-  private:
-    bool pushed = false;
-    bool profPushed = false;
-    std::string saved;
-};
 
 /**
  * Per-solve probe used by the Newton kernel. Buffers the last

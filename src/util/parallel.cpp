@@ -8,8 +8,8 @@
 #include <thread>
 
 #include "util/logging.hpp"
-#include "util/profiler.hpp"
 #include "util/stats_registry.hpp"
+#include "util/trace.hpp"
 
 namespace otft::parallel {
 
@@ -123,7 +123,7 @@ recordError(Batch &batch, std::size_t index)
 void
 work(Batch &batch)
 {
-    prof::BusyScope busy_mark;
+    trace::BusyScope busy_mark;
     const bool stats_on = g_pool_stats.load(std::memory_order_relaxed);
     std::uint64_t busy_ns = 0;
     std::uint64_t chunks_run = 0;
@@ -222,7 +222,7 @@ struct Pool
     workerLoop(std::size_t index)
     {
         t_inside_worker = true;
-        prof::setThreadName("worker");
+        trace::setThreadName("worker");
         t_slot = claimWorkerSlot(index);
         while (true) {
             Batch *batch = nullptr;

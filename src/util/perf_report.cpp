@@ -207,7 +207,7 @@ ScenarioSuite::run(const SuiteOptions &options) const
             }
             std::cerr << "\n== profile: " << scenario.name
                       << " ==\n";
-            profiler.writeTopReport(std::cerr, options.profileTopN);
+            profiler.writeTopReport(std::cerr, prof::reportRows);
         }
         for (const auto &[name, value] : after) {
             auto it = before.find(name);

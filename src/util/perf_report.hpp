@@ -145,9 +145,8 @@ struct SuiteOptions
      */
     bool profile = false;
     std::string profileDir;
+    /** Sampling period; tests shorten it. */
     std::uint64_t profilePeriodUs = 1000;
-    /** Rows in the per-scenario top-frames report on stderr. */
-    int profileTopN = 5;
 };
 
 /** An ordered collection of runnable scenarios. */

@@ -1,11 +1,10 @@
 #include "util/profiler.hpp"
 
 #include <algorithm>
-#include <cctype>
 #include <chrono>
+#include <cstring>
 #include <istream>
 #include <map>
-#include <memory>
 #include <mutex>
 #include <ostream>
 #include <set>
@@ -19,41 +18,7 @@
 
 namespace otft::prof {
 
-namespace detail {
-std::atomic<bool> g_enabled{false};
-} // namespace detail
-
 namespace {
-
-/** Frames kept per thread; deeper pushes sample as "(deep)". */
-constexpr std::size_t maxDepth = 64;
-/** Longest label copied; the tail is truncated. */
-constexpr std::size_t maxLabel = 96;
-/** Preallocation per frame slot so pushes never allocate. */
-constexpr std::size_t reserveLabel = 128;
-
-/**
- * One registered thread's sampled state. The owning thread mutates
- * `frames`/`depth` under `mutex`; the sampler try-locks it, so the
- * workload thread never waits on the sampler. `busy` and `alive` are
- * plain atomics readable without the lock.
- */
-struct ThreadState
-{
-    std::mutex mutex;
-    std::size_t depth = 0;
-    std::string frames[maxDepth];
-    std::atomic<bool> busy{false};
-    std::atomic<bool> alive{true};
-    /** Stack-root label; points at a string literal ("main", ...). */
-    const char *name = "main";
-
-    ThreadState()
-    {
-        for (std::string &f : frames)
-            f.reserve(reserveLabel);
-    }
-};
 
 /** Tally the sampler keeps per thread while running. */
 struct ThreadTally
@@ -65,10 +30,6 @@ struct ThreadTally
 
 struct Impl
 {
-    /** Registered thread states (pruned of dead threads on start). */
-    std::mutex threadsMutex;
-    std::vector<std::shared_ptr<ThreadState>> threads;
-
     /** Sampler lifecycle. */
     std::thread sampler;
     std::atomic<bool> stopRequested{false};
@@ -78,7 +39,8 @@ struct Impl
     /** Collection results (guarded by resultsMutex once stopped). */
     mutable std::mutex resultsMutex;
     std::map<std::string, std::uint64_t> stacks;
-    std::map<const ThreadState *, ThreadTally> tallies;
+    /** Per-thread sample tallies, keyed by thread-state serial. */
+    std::map<std::uint64_t, ThreadTally> tallies;
     std::uint64_t periodUs = 1000;
     bool poolStatsWereEnabled = false;
     bool active = false;
@@ -87,64 +49,13 @@ struct Impl
 Impl &
 impl()
 {
-    static Impl *i = new Impl; // leaked: sampled by detached threads
+    static Impl *i = new Impl; // leaked: safe at exit mid-collection
     return *i;
-}
-
-thread_local const char *t_name = "main";
-
-/**
- * The calling thread's registered state, created on first use. The
- * holder's destructor marks the state dead so the sampler (which
- * shares ownership) skips it after the thread exits.
- */
-struct StateHolder
-{
-    std::shared_ptr<ThreadState> state;
-    ~StateHolder()
-    {
-        if (state)
-            state->alive.store(false, std::memory_order_relaxed);
-    }
-};
-
-ThreadState *
-threadState()
-{
-    thread_local StateHolder holder;
-    if (!holder.state) {
-        auto state = std::make_shared<ThreadState>();
-        state->name = t_name;
-        Impl &i = impl();
-        std::lock_guard<std::mutex> lock(i.threadsMutex);
-        i.threads.push_back(state);
-        holder.state = std::move(state);
-    }
-    return holder.state.get();
-}
-
-/** Copy a label into a preallocated slot, sanitizing separators. */
-void
-assignLabel(std::string &slot, const char *label, std::size_t len)
-{
-    slot.clear();
-    const std::size_t n = std::min(len, maxLabel);
-    for (std::size_t k = 0; k < n; ++k) {
-        const unsigned char c =
-            static_cast<unsigned char>(label[k]);
-        slot.push_back(c == ';' || std::isspace(c) || c < 0x20
-                           ? '_'
-                           : static_cast<char>(c));
-    }
 }
 
 void
 samplerLoop(Impl &i)
 {
-    // A reusable key buffer: one string build per sampled stack.
-    std::string key;
-    key.reserve(1024);
-
     static stats::Histogram &stat_queue_depth = stats::histogram(
         "parallel.pool.queue_depth", 0.0, 16.0, 16,
         "parallel batches published to the pool per profiler sample");
@@ -158,41 +69,24 @@ samplerLoop(Impl &i)
         stat_queue_depth.sample(
             static_cast<double>(parallel::queueDepth()));
 
-        std::lock_guard<std::mutex> lock(i.threadsMutex);
-        // Results lock second (start() never nests them the other
-        // way): accessors may read folded()/frameTotals() while the
+        // Accessors may read folded()/frameTotals() while the
         // collection is still running.
         std::lock_guard<std::mutex> results(i.resultsMutex);
-        for (const auto &state : i.threads) {
-            if (!state->alive.load(std::memory_order_relaxed))
-                continue;
-            ThreadTally &tally = i.tallies[state.get()];
-            tally.name = state->name;
+        trace::sampleThreads([&i](const trace::ThreadSample &s) {
+            ThreadTally &tally = i.tallies[s.thread];
+            tally.name = s.role;
             ++tally.samples;
-            if (state->busy.load(std::memory_order_relaxed))
+            if (s.busy)
                 ++tally.busySamples;
-
-            std::unique_lock<std::mutex> frames(state->mutex,
-                                                std::try_to_lock);
-            if (!frames.owns_lock()) {
+            if (s.dropped) {
                 i.dropped.fetch_add(1, std::memory_order_relaxed);
-                continue;
+                return;
             }
-            const std::size_t depth = state->depth;
-            if (depth == 0)
-                continue; // idle thread: counted above, no stack
-            key.assign(state->name);
-            const std::size_t copied = std::min(depth, maxDepth);
-            for (std::size_t d = 0; d < copied; ++d) {
-                key.push_back(';');
-                key.append(state->frames[d]);
-            }
-            if (depth > maxDepth)
-                key.append(";(deep)");
-            frames.unlock();
-            ++i.stacks[key];
+            if (s.stack->empty())
+                return; // idle thread: counted above, no stack
+            ++i.stacks[*s.stack];
             i.samples.fetch_add(1, std::memory_order_relaxed);
-        }
+        });
     }
 }
 
@@ -243,22 +137,10 @@ Profiler::start(const Options &options)
         i.poolStatsWereEnabled = parallel::poolStatsEnabled();
     }
 
-    // Drop states of threads that exited since the last collection.
-    {
-        std::lock_guard<std::mutex> lock(i.threadsMutex);
-        i.threads.erase(
-            std::remove_if(i.threads.begin(), i.threads.end(),
-                           [](const auto &s) {
-                               return !s->alive.load(
-                                   std::memory_order_relaxed);
-                           }),
-            i.threads.end());
-    }
-
     parallel::setPoolStatsEnabled(true);
     i.stopRequested.store(false, std::memory_order_release);
     i.sampler = std::thread([&i] { samplerLoop(i); });
-    detail::g_enabled.store(true, std::memory_order_release);
+    trace::detail::setConsumer(trace::detail::Profiler, true);
     return true;
 }
 
@@ -272,7 +154,7 @@ Profiler::stop()
             return;
         i.active = false;
     }
-    detail::g_enabled.store(false, std::memory_order_release);
+    trace::detail::setConsumer(trace::detail::Profiler, false);
     i.stopRequested.store(true, std::memory_order_release);
     if (i.sampler.joinable())
         i.sampler.join();
@@ -299,8 +181,8 @@ Profiler::stop()
     std::lock_guard<std::mutex> lock(i.resultsMutex);
     stat_samples += i.samples.load(std::memory_order_relaxed);
     stat_dropped += i.dropped.load(std::memory_order_relaxed);
-    for (const auto &[state, tally] : i.tallies) {
-        (void)state;
+    for (const auto &[thread, tally] : i.tallies) {
+        (void)thread;
         if (std::strcmp(tally.name, "worker") != 0 ||
             tally.samples == 0)
             continue;
@@ -495,45 +377,6 @@ parseFolded(std::istream &is)
                        static_cast<std::uint64_t>(count)});
     }
     return out;
-}
-
-void
-pushFrame(const char *label, std::size_t len)
-{
-    ThreadState *state = threadState();
-    std::lock_guard<std::mutex> lock(state->mutex);
-    if (state->depth < maxDepth)
-        assignLabel(state->frames[state->depth], label, len);
-    ++state->depth; // deeper pushes still count (popped in pairs)
-}
-
-void
-popFrame()
-{
-    ThreadState *state = threadState();
-    std::lock_guard<std::mutex> lock(state->mutex);
-    if (state->depth > 0)
-        --state->depth;
-}
-
-void
-setThreadName(const char *name)
-{
-    t_name = name;
-}
-
-BusyScope::BusyScope()
-{
-    if (!enabled())
-        return;
-    busy = &threadState()->busy;
-    busy->store(true, std::memory_order_relaxed);
-}
-
-BusyScope::~BusyScope()
-{
-    if (busy)
-        busy->store(false, std::memory_order_relaxed);
 }
 
 } // namespace otft::prof

@@ -2,11 +2,10 @@
  * @file
  * In-process sampling profiler with worker-pool attribution.
  *
- * A dedicated sampler thread wakes on a configurable period (default
- * 1 ms) and walks every registered thread's context stack — the
- * frames pushed by `OTFT_TRACE_SCOPE` spans and `diag::ScopedContext`
- * labels already threaded through circuit, liberty, sta, core, and
- * arch — accumulating one count per distinct stack. On stop() the
+ * A dedicated sampler thread wakes every 1 ms (Options::periodUs) and
+ * walks every registered thread's frame stack — the names and labels
+ * of the trace::Scope objects open on it (util/trace) —
+ * accumulating one count per distinct stack. On stop() the
  * collection is available as:
  *
  *  - a collapsed-stack ("folded") stream, one `root;a;b N` line per
@@ -24,39 +23,37 @@
  * into the stats registry at stop(); see util/parallel for the exact
  * busy-time accounting the pool records itself.
  *
- * Cost model: while the profiler is *disabled* (the default), a frame
- * push is one relaxed atomic load — call sites pay nothing else.
- * While enabled, a push copies the label into preallocated per-thread
- * storage under that thread's own (uncontended) mutex; the sampler
- * try-locks it, so a sample can never block the workload — a
- * collision is counted as a dropped sample instead.
+ * Cost model: while the profiler is off (the default), a scope pays
+ * one relaxed load for it. While on, a scope copies its name (and
+ * label) into preallocated per-thread storage under that thread's own
+ * (uncontended) mutex; the sampler try-locks it, so a sample can
+ * never block the workload — a collision is counted as a dropped
+ * sample instead.
  */
 
 #ifndef OTFT_UTIL_PROFILER_HPP
 #define OTFT_UTIL_PROFILER_HPP
 
-#include <atomic>
 #include <cstdint>
-#include <cstring>
 #include <iosfwd>
 #include <string>
 #include <vector>
+
+#include "util/trace.hpp"
 
 namespace otft::prof {
 
 /** Schema tag of the JSON section merged into the stats footer. */
 inline constexpr const char *profSchema = "otft-prof-1";
 
-namespace detail {
-/** Master enable; read on every frame push (relaxed). */
-extern std::atomic<bool> g_enabled;
-} // namespace detail
+/** Rows in the top-frames report and the footer profile section. */
+inline constexpr int reportRows = 5;
 
 /** @return true while a sampling collection is running. */
 inline bool
 enabled()
 {
-    return detail::g_enabled.load(std::memory_order_relaxed);
+    return (trace::detail::consumers() & trace::detail::Profiler) != 0;
 }
 
 /** Sampler controls. */
@@ -129,7 +126,7 @@ class Profiler
      * The compact otft-prof-1 JSON object (schema, period, samples,
      * dropped, threads, stacks, top frames) for the bench footer.
      */
-    std::string footerSection(int top_n = 5) const;
+    std::string footerSection(int top_n = reportRows) const;
 
     /** Drop the last collection's results. */
     void reset();
@@ -143,88 +140,6 @@ class Profiler
  * artifact validation). Malformed lines are skipped.
  */
 std::vector<FoldedStack> parseFolded(std::istream &is);
-
-/**
- * Push/pop one frame on the calling thread's context stack. Callers
- * must pair them exactly; use FrameGuard unless the enclosing object
- * already tracks whether it pushed (trace::Span, diag::ScopedContext).
- * `;`, whitespace, and control characters in labels are mapped to '_'
- * so the folded format stays parseable.
- */
-void pushFrame(const char *label, std::size_t len);
-void popFrame();
-
-inline void
-pushFrame(const char *label)
-{
-    pushFrame(label, std::strlen(label));
-}
-
-inline void
-pushFrame(const std::string &label)
-{
-    pushFrame(label.data(), label.size());
-}
-
-/**
- * RAII frame for hot paths that have no trace span (Newton kernel, LTE
- * control): one relaxed atomic load when the profiler is disabled.
- */
-class FrameGuard
-{
-  public:
-    explicit FrameGuard(const char *label)
-    {
-        if (enabled()) {
-            pushFrame(label);
-            pushed = true;
-        }
-    }
-    explicit FrameGuard(const std::string &label)
-    {
-        if (enabled()) {
-            pushFrame(label);
-            pushed = true;
-        }
-    }
-    ~FrameGuard()
-    {
-        if (pushed)
-            popFrame();
-    }
-
-    FrameGuard(const FrameGuard &) = delete;
-    FrameGuard &operator=(const FrameGuard &) = delete;
-
-  private:
-    bool pushed = false;
-};
-
-/**
- * Name the calling thread's stack root ("worker" for pool threads).
- * Unnamed threads sample under "main". Cheap: stores a pointer to the
- * literal; no registration happens until the thread pushes a frame or
- * marks itself busy during a collection.
- */
-void setThreadName(const char *name);
-
-/**
- * RAII busy marker for worker-pool attribution: while alive, the
- * sampler counts the calling thread as busy. One relaxed atomic load
- * when the profiler is disabled.
- */
-class BusyScope
-{
-  public:
-    BusyScope();
-    ~BusyScope();
-
-    BusyScope(const BusyScope &) = delete;
-    BusyScope &operator=(const BusyScope &) = delete;
-
-  private:
-    std::atomic<bool> *busy = nullptr;
-};
 
 } // namespace otft::prof
 

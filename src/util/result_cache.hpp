@@ -23,7 +23,7 @@
  *
  * Persistence: in-memory LRU always; optionally backed by a JSON file
  * (`<dir>/result_cache.json`) loaded at setDirectory() and written by
- * flush(). cli::Session wires `--cache-dir` / OTFT_CACHE_DIR to this
+ * flush(). cli::Session wires `--cache-dir` to this
  * and flushes on exit. Corrupt or truncated cache files are never
  * fatal: parse failures warn and behave as a miss.
  */
@@ -66,6 +66,9 @@ class KeyHasher
   private:
     std::uint64_t state = 1469598103934665603ull; // FNV offset basis
 };
+
+/** A digest as 16 lowercase hex digits. */
+std::string hexDigest(std::uint64_t digest);
 
 /** The process-wide content-addressed cache. */
 class ResultCache

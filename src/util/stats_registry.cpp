@@ -483,20 +483,6 @@ monotonicNowNs()
         .count();
 }
 
-ScopedTimer::ScopedTimer(Accumulator &acc)
-    : acc(acc), startNs(0), active(Registry::instance().enabled())
-{
-    if (active)
-        startNs = monotonicNowNs();
-}
-
-ScopedTimer::~ScopedTimer()
-{
-    if (active)
-        acc.sample(static_cast<double>(monotonicNowNs() - startNs) *
-                   1e-9);
-}
-
 // ---------------------------------------------------------------------
 // Snapshot parsing: a recursive-descent reader for the JSON subset
 // dumpJson() emits (flat object; values are numbers, or one-level

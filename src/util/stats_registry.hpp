@@ -234,9 +234,9 @@ class Registry
     void reset();
 
     /**
-     * Master enable. When false, ScopedTimer and trace spans skip
-     * their clock reads entirely; plain counter increments at call
-     * sites are not gated (they cost a single add).
+     * Master enable. When false, trace scopes skip their accumulator
+     * clock reads entirely; plain counter increments at call sites
+     * are not gated (they cost a single add).
      */
     void
     setEnabled(bool enabled)
@@ -302,26 +302,7 @@ enabled()
     return Registry::instance().enabled();
 }
 
-/**
- * RAII wall-time span: samples elapsed seconds into an accumulator at
- * scope exit. Skips both clock reads when the registry is disabled.
- */
-class ScopedTimer
-{
-  public:
-    explicit ScopedTimer(Accumulator &acc);
-    ~ScopedTimer();
-
-    ScopedTimer(const ScopedTimer &) = delete;
-    ScopedTimer &operator=(const ScopedTimer &) = delete;
-
-  private:
-    Accumulator &acc;
-    std::int64_t startNs;
-    bool active;
-};
-
-/** Monotonic clock read in nanoseconds (exposed for trace spans). */
+/** Monotonic clock read in nanoseconds (exposed for trace scopes). */
 std::int64_t monotonicNowNs();
 
 // ---------------------------------------------------------------------

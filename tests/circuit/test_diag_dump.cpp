@@ -111,6 +111,68 @@ TEST(DiagDump, SerializeParseRoundTripsTheCircuit)
     EXPECT_TRUE(parsed.trace[1].chord);
 }
 
+/** A valid dump document of a small transient solve. */
+std::string
+diodeDumpDocument()
+{
+    Circuit ckt = diodeCircuit();
+    ckt.addCapacitor(Circuit::ground, 2, 1e-12);
+    NewtonConfig cfg;
+    Mna mna(ckt, cfg);
+    Solution x0 = mna.zeroSolution();
+    x0[0] = -1.25;
+    const Solution x_prev = mna.zeroSolution();
+    return dump::serializeDump(
+        ckt, cfg, x0, diag::SolveKind::TransientStep, 1.5e-6, 1.0,
+        2.5e-7, &x_prev, "fuzz", "ctx.fuzz", {{"explorer.seed", 7.0}},
+        {{0, 1.5, 0.7, false}, {1, 0.3, 0.1, true}});
+}
+
+/** Parse `text`; @return true on success, false on FatalError. */
+bool
+parsesAsDump(const std::string &text)
+{
+    try {
+        (void)dump::parseFailureDump(text);
+        return true;
+    } catch (const FatalError &) {
+        return false;
+    }
+}
+
+TEST(DiagDumpFuzz, EveryTruncationParsesOrIsFatal)
+{
+    setQuiet(true);
+    const std::string doc = diodeDumpDocument();
+    ASSERT_TRUE(parsesAsDump(doc));
+    int rejected = 0;
+    for (std::size_t len = 0; len < doc.size(); ++len)
+        rejected += parsesAsDump(doc.substr(0, len)) ? 0 : 1;
+    EXPECT_GT(rejected, 0);
+    setQuiet(false);
+}
+
+TEST(DiagDumpFuzz, EveryByteMutationParsesOrIsFatal)
+{
+    setQuiet(true);
+    const std::string doc = diodeDumpDocument();
+    int parsed = 0;
+    int rejected = 0;
+    for (std::size_t pos = 0; pos < doc.size(); ++pos) {
+        for (char c : {'9', '-', ' ', 'x', '"', 'e'}) {
+            std::string mutant = doc;
+            mutant[pos] = c;
+            (parsesAsDump(mutant) ? parsed : rejected) += 1;
+        }
+        std::string deleted = doc;
+        deleted.erase(pos, 1);
+        (parsesAsDump(deleted) ? parsed : rejected) += 1;
+    }
+    EXPECT_GT(parsed, 0);
+    EXPECT_GT(rejected, 0);
+    setQuiet(false);
+}
+
 TEST(DiagDump, NonFiniteStateSurvivesTheRoundTrip)
 {
     Circuit ckt = diodeCircuit();

@@ -267,7 +267,7 @@ TEST(ConcurrencyStress, NestedRegionOnCallerStaysOnCaller)
     }
 }
 
-TEST(ConcurrencyStress, ScopedTimersAggregateExactCounts)
+TEST(ConcurrencyStress, ScopesAggregateExactCounts)
 {
     stats::Accumulator &acc = stats::accumulator(
         "time.test.concurrency.timed", "stress span accumulator");

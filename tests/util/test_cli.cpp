@@ -41,7 +41,7 @@ class Args
     int argc_ = 0;
 };
 
-/** Clears the OTFT observability environment for the test body. */
+/** Quiet logging and a clean OTFT_* environment for the test body. */
 class CleanEnv : public ::testing::Test
 {
   protected:
@@ -93,34 +93,20 @@ TEST_F(CliSession, ConsumesObservabilityFlagsOnly)
     std::remove(stats_path.c_str());
 }
 
-TEST_F(CliSession, EnvironmentFillsInWhenFlagsAbsent)
+TEST_F(CliSession, EnvironmentIsNotConsulted)
 {
-    const std::string env_path = tmpPath("cli_env_stats.json");
-    setenv("OTFT_STATS_JSON", env_path.c_str(), 1);
+    // Flags are the only way to configure a session: former OTFT_*
+    // twins, even invalid ones, change nothing.
     setenv("OTFT_STATS", "1", 1);
+    setenv("OTFT_STATS_JSON", "/nonexistent-dir-otft/stats.json", 1);
+    setenv("OTFT_TRACE_JSON", "/nonexistent-dir-otft/trace.json", 1);
+    setenv("OTFT_JOBS", "not-a-number", 1);
     Args args({"prog"});
-    {
-        Session session("test", args.argc(), args.argv());
-        EXPECT_EQ(session.statsJson(), env_path);
-        EXPECT_TRUE(session.statsTextEnabled());
-    }
-    std::remove(env_path.c_str());
-}
-
-TEST_F(CliSession, FlagsTakePrecedenceOverEnvironment)
-{
-    const std::string env_path = tmpPath("cli_prec_env.json");
-    const std::string flag_path = tmpPath("cli_prec_flag.json");
-    setenv("OTFT_STATS_JSON", env_path.c_str(), 1);
-    setenv("OTFT_STATS", "0", 1);
-    Args args({"prog", "--stats-json", flag_path});
-    {
-        Session session("test", args.argc(), args.argv());
-        EXPECT_EQ(session.statsJson(), flag_path);
-        // OTFT_STATS=0 means "off", not "set".
-        EXPECT_FALSE(session.statsTextEnabled());
-    }
-    std::remove(flag_path.c_str());
+    Session session("test", args.argc(), args.argv());
+    EXPECT_FALSE(session.statsTextEnabled());
+    EXPECT_TRUE(session.statsJson().empty());
+    EXPECT_TRUE(session.traceJson().empty());
+    EXPECT_EQ(session.jobs(), parallel::hardwareJobs());
 }
 
 TEST_F(CliSession, UnwritableStatsPathIsFatalAtConstruction)
@@ -215,32 +201,6 @@ TEST_F(CliSession, JobsMissingValueIsFatal)
     Args args({"prog", "--jobs"});
     EXPECT_THROW(Session("test", args.argc(), args.argv()),
                  FatalError);
-}
-
-TEST_F(CliSession, JobsEnvironmentFallback)
-{
-    setenv("OTFT_JOBS", "1", 1);
-    Args args({"prog"});
-    Session session("test", args.argc(), args.argv());
-    EXPECT_EQ(session.jobs(), 1);
-}
-
-TEST_F(CliSession, JobsEnvironmentValueIsValidatedToo)
-{
-    setenv("OTFT_JOBS", "0", 1);
-    Args args({"prog"});
-    EXPECT_THROW(Session("test", args.argc(), args.argv()),
-                 FatalError);
-}
-
-TEST_F(CliSession, JobsFlagBeatsEnvironment)
-{
-    // The env value is invalid; with the flag present it must never
-    // even be parsed.
-    setenv("OTFT_JOBS", "not-a-number", 1);
-    Args args({"prog", "--jobs", "1"});
-    Session session("test", args.argc(), args.argv());
-    EXPECT_EQ(session.jobs(), 1);
 }
 
 TEST_F(CliSession, StatsJsonIsWrittenOnExit)

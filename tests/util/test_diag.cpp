@@ -1,7 +1,7 @@
 /**
  * @file
  * Unit tests for the solver diagnostics sink: collector aggregation,
- * thread-local context labels, the per-solve probe ring, the dump
+ * per-thread scope labels, the per-solve probe ring, the dump
  * registry cap, and the otft-diag-1 JSON export.
  */
 
@@ -13,6 +13,7 @@
 
 #include "util/diag.hpp"
 #include "util/json.hpp"
+#include "util/trace.hpp"
 
 namespace otft::diag {
 namespace {
@@ -50,7 +51,7 @@ TEST_F(DiagTest, DisabledCollectorKeepsProbesInert)
 TEST_F(DiagTest, ProbePublishesAggregateOnFinish)
 {
     {
-        ScopedContext ctx("unit.ctx");
+        trace::Scope ctx("test.scope", nullptr, "unit.ctx");
         SolveProbe probe(SolveKind::Dc);
         ASSERT_TRUE(probe.active());
         probe.iteration(0, 2.0, 1.0, false);
@@ -98,26 +99,37 @@ TEST_F(DiagTest, NonFiniteFailureResidualBecomesInfinity)
     EXPECT_TRUE(std::isinf(s.worstFinalResidual));
 }
 
-TEST_F(DiagTest, ScopedContextNestsWithSlash)
+TEST_F(DiagTest, ScopeLabelsNestWithSlash)
 {
-    EXPECT_EQ(ScopedContext::current(), "");
+    EXPECT_EQ(trace::currentLabel(), "");
     {
-        ScopedContext outer("liberty.inv");
-        EXPECT_EQ(ScopedContext::current(), "liberty.inv");
+        trace::Scope outer("test.outer", nullptr, "liberty.inv");
+        EXPECT_EQ(trace::currentLabel(), "liberty.inv");
         {
-            ScopedContext inner("pin0");
-            EXPECT_EQ(ScopedContext::current(), "liberty.inv/pin0");
+            trace::Scope inner("test.inner", nullptr, "pin0");
+            EXPECT_EQ(trace::currentLabel(), "liberty.inv/pin0");
         }
-        EXPECT_EQ(ScopedContext::current(), "liberty.inv");
-        ScopedContext empty("");
-        EXPECT_EQ(ScopedContext::current(), "liberty.inv");
+        EXPECT_EQ(trace::currentLabel(), "liberty.inv");
+        trace::Scope unlabeled("test.unlabeled");
+        trace::Scope empty("test.empty", nullptr, "");
+        EXPECT_EQ(trace::currentLabel(), "liberty.inv");
     }
-    EXPECT_EQ(ScopedContext::current(), "");
+    EXPECT_EQ(trace::currentLabel(), "");
+}
+
+TEST_F(DiagTest, LabelsAreIgnoredWhileDisabled)
+{
+    Collector::instance().setEnabled(false);
+    {
+        trace::Scope scope("test.scope", nullptr, "ignored");
+        EXPECT_EQ(trace::currentLabel(), "");
+    }
+    EXPECT_EQ(trace::currentLabel(), "");
 }
 
 TEST_F(DiagTest, EventsAggregateUnderCurrentContext)
 {
-    ScopedContext ctx("transient.test");
+    trace::Scope ctx("test.scope", nullptr, "transient.test");
     recordEvent(Event::StepAccept);
     recordEvent(Event::StepAccept);
     recordEvent(Event::StepReject);
@@ -170,7 +182,7 @@ TEST_F(DiagTest, DumpJsonRoundTripsThroughParser)
     c.setAttribute("explorer.seed", 42.0);
     c.setAttribute("weird \"key\"\n", 1.0);
     {
-        ScopedContext ctx("ctx.a");
+        trace::Scope ctx("test.scope", nullptr, "ctx.a");
         SolveProbe probe(SolveKind::Dc);
         probe.iteration(0, 1.0, 0.5, false);
         probe.finish(true);

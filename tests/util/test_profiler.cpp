@@ -19,6 +19,7 @@
 #include "util/parallel.hpp"
 #include "util/profiler.hpp"
 #include "util/stats_registry.hpp"
+#include "util/trace.hpp"
 
 namespace otft::prof {
 namespace {
@@ -27,7 +28,7 @@ namespace {
 void
 holdFrame(const char *label, int ms)
 {
-    FrameGuard guard(label);
+    trace::Scope scope(label);
     std::this_thread::sleep_for(std::chrono::milliseconds(ms));
 }
 
@@ -51,14 +52,14 @@ containsStack(const std::vector<std::string> &names,
     return false;
 }
 
-TEST(Profiler, DisabledByDefaultAndGuardsAreInert)
+TEST(Profiler, DisabledByDefaultAndScopesAreInert)
 {
     ASSERT_FALSE(enabled());
     Profiler &p = Profiler::instance();
     p.reset();
     {
-        FrameGuard guard("test.unsampled");
-        BusyScope busy;
+        trace::Scope scope("test.unsampled");
+        trace::BusyScope busy;
     }
     EXPECT_EQ(p.sampleCount(), 0u);
     EXPECT_TRUE(p.folded().empty());
@@ -71,7 +72,7 @@ TEST(Profiler, CollectsNestedLabeledStacks)
     options.periodUs = 200;
     ASSERT_TRUE(p.start(options));
     {
-        FrameGuard outer("test.outer");
+        trace::Scope outer("test.outer");
         holdFrame("test.inner", 60);
     }
     p.stop();
@@ -223,7 +224,7 @@ TEST(Profiler, StackRootsAreDeterministicUnderJobs8)
     {
         parallel::JobsOverride jobs(8);
         parallel::parallelFor(32, [](std::size_t) {
-            FrameGuard guard("test.par");
+            trace::Scope scope("test.par");
             std::this_thread::sleep_for(
                 std::chrono::milliseconds(3));
         });
@@ -281,7 +282,7 @@ TEST(Profiler, DisabledPathOverheadIsBounded)
     const auto workload = [] {
         volatile double sink = 0.0;
         for (int i = 0; i < 4000; ++i) {
-            FrameGuard guard("test.overhead");
+            trace::Scope scope("test.overhead");
             double acc = 0.0;
             for (int k = 0; k < 400; ++k)
                 acc += static_cast<double>(k) * 1e-3;

@@ -172,25 +172,6 @@ TEST(StatsRegistry, EnableFlagRoundTrips)
     EXPECT_TRUE(enabled());
 }
 
-TEST(StatsRegistry, ScopedTimerSamplesOncePerScope)
-{
-    Accumulator &a = accumulator("test.timer.acc");
-    a.reset();
-    {
-        ScopedTimer t(a);
-    }
-    EXPECT_EQ(a.count(), 1u);
-    EXPECT_GE(a.sum(), 0.0);
-
-    // Disabled: no clock reads, no samples.
-    Registry::instance().setEnabled(false);
-    {
-        ScopedTimer t(a);
-    }
-    Registry::instance().setEnabled(true);
-    EXPECT_EQ(a.count(), 1u);
-}
-
 TEST(StatsRegistry, JsonDumpRoundTrips)
 {
     Registry &reg = Registry::instance();
