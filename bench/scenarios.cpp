@@ -11,6 +11,7 @@
 #include "circuit/dc.hpp"
 #include "circuit/transient.hpp"
 #include "core/explorer.hpp"
+#include "core/synthesizer.hpp"
 #include "device/fitting.hpp"
 #include "device/measurement.hpp"
 #include "device/pentacene.hpp"
@@ -482,8 +483,9 @@ addIpcFanout(perf::ScenarioSuite &suite)
 }
 
 /**
- * A reduced width-sweep grid as a serial/parallel pair; exercises the
- * task-local-synthesizer path of ArchExplorer::widthSweep.
+ * A reduced width-sweep grid as a serial/parallel pair; exercises
+ * ArchExplorer::widthSweep, whose tasks share the explorer's
+ * synthesizer.
  */
 void
 addExplorerSweep(perf::ScenarioSuite &suite)
@@ -519,6 +521,40 @@ addExplorerSweep(perf::ScenarioSuite &suite)
     });
 }
 
+/**
+ * Synthesis alone over the front-end 1-3 x back-end 3-5 grid, every
+ * point a pool task on one shared synthesizer (as in widthSweep), so
+ * the flight recorder tracks synthesis apart from IPC. A fresh
+ * synthesizer per rep keeps its memo cold.
+ */
+void
+addSynthWidthGrid(perf::ScenarioSuite &suite)
+{
+    suite.add({
+        "core.synth_width_grid",
+        "core",
+        "synthesis + STA of the front-end 1-3 x back-end 3-5 grid "
+        "through one shared synthesizer at the default jobs",
+        [] { fixtures().getSilicon(); },
+        []() -> std::uint64_t {
+            std::vector<arch::CoreConfig> grid;
+            for (int be = 3; be <= 5; ++be)
+                for (int fe = 1; fe <= 3; ++fe) {
+                    arch::CoreConfig config = arch::baselineConfig();
+                    config.fetchWidth = fe;
+                    config.aluPipes =
+                        be - config.memPipes - config.branchPipes;
+                    grid.push_back(config);
+                }
+            core::CoreSynthesizer synth(fixtures().getSilicon());
+            const auto timings = parallel::orderedMap<core::CoreTiming>(
+                grid.size(),
+                [&](std::size_t k) { return synth.synthesize(grid[k]); });
+            return timings.size();
+        },
+    });
+}
+
 } // namespace
 
 void
@@ -537,6 +573,7 @@ registerAllScenarios(perf::ScenarioSuite &suite)
     addExplorerPoint(suite);
     addIpcFanout(suite);
     addExplorerSweep(suite);
+    addSynthWidthGrid(suite);
 }
 
 } // namespace otft::bench

@@ -132,13 +132,6 @@ ArchExplorer::measureIpc(const arch::CoreConfig &config)
 DesignPoint
 ArchExplorer::evaluate(const arch::CoreConfig &config)
 {
-    return evaluateWith(synth, config);
-}
-
-DesignPoint
-ArchExplorer::evaluateWith(CoreSynthesizer &synthesizer,
-                           const arch::CoreConfig &config)
-{
     static stats::Counter &stat_points = stats::counter(
         "explorer.points.evaluated",
         "design points synthesized and simulated");
@@ -152,11 +145,11 @@ ArchExplorer::evaluateWith(CoreSynthesizer &synthesizer,
     // STA + exploration config, and the full core configuration.
     cache::KeyHasher key;
     key.add("explorer.point-v1").add(libraryHash);
-    const sta::StaConfig &sta = synthesizer.staConfig();
+    const sta::StaConfig &sta = synth.staConfig();
     key.add(sta.wireEnabled).add(sta.extraSpanPerNet);
     key.add(sta.registerInputs).add(sta.registerOutputs);
     key.add(sta.noWireMarginFraction).add(sta.spanCoefficient);
-    key.add(synthesizer.loopSpanCoefficient);
+    key.add(synth.loopSpanCoefficient);
     key.add(config_.instructions).add(config_.seed);
     key.add(config.fetchWidth).add(config.aluPipes);
     key.add(config.memPipes).add(config.branchPipes);
@@ -176,7 +169,7 @@ ArchExplorer::evaluateWith(CoreSynthesizer &synthesizer,
         return point;
 
     point.config = config;
-    point.timing = synthesizer.synthesize(config);
+    point.timing = synth.synthesize(config);
     point.ipc = measureIpc(config);
     point.meanIpc = mean(point.ipc);
     point.performance = point.meanIpc * point.timing.frequency;
@@ -226,10 +219,9 @@ ArchExplorer::widthSweep(int fe_min, int fe_max, int be_min, int be_max)
             fatal("widthSweep: back-end width ", be,
                   " leaves no ALU pipes");
 
-    // One task per flattened (be, fe) point. CoreSynthesizer keeps
-    // internal memo caches, so each task synthesizes through its own
-    // instance; the caches only skip recomputation, so the values
-    // match the shared-synthesizer serial path bit for bit.
+    // One task per flattened (be, fe) point, all synthesizing through
+    // the shared synthesizer: points that share a region block (the
+    // same front-end width, or the same ALU pipes) time it once.
     const std::size_t n_fe =
         static_cast<std::size_t>(fe_max - fe_min + 1);
     const std::size_t n_be =
@@ -246,9 +238,8 @@ ArchExplorer::widthSweep(int fe_min, int fe_max, int be_min, int be_max)
             config.fetchWidth = fe;
             config.aluPipes =
                 be - config.memPipes - config.branchPipes;
-            CoreSynthesizer local(library, config_.sta);
             const std::int64_t t0 = stats::monotonicNowNs();
-            DesignPoint point = evaluateWith(local, config);
+            DesignPoint point = evaluate(config);
             reporter.itemDone(
                 static_cast<double>(stats::monotonicNowNs() - t0) *
                 1e-9);

@@ -87,7 +87,10 @@ class ArchExplorer
     ArchExplorer(const liberty::CellLibrary &library,
                  ExplorerConfig config = {});
 
-    /** Synthesize + simulate one configuration. */
+    /**
+     * Synthesize + simulate one configuration. Safe to call from
+     * concurrent tasks: they share the one synthesizer and its memo.
+     */
     DesignPoint evaluate(const arch::CoreConfig &config);
 
     /**
@@ -109,15 +112,6 @@ class ArchExplorer
     CoreSynthesizer &synthesizer() { return synth; }
 
   private:
-    /**
-     * evaluate() against an explicit synthesizer. Parallel sweeps
-     * evaluate through task-local CoreSynthesizer instances (its memo
-     * caches are not concurrency-safe); caching only skips repeated
-     * work, so the numbers match the shared-instance serial path.
-     */
-    DesignPoint evaluateWith(CoreSynthesizer &synthesizer,
-                             const arch::CoreConfig &config);
-
     const liberty::CellLibrary &library;
     ExplorerConfig config_;
     CoreSynthesizer synth;

@@ -1,8 +1,8 @@
 #include "core/synthesizer.hpp"
 
 #include <algorithm>
-
 #include <cmath>
+#include <optional>
 
 #include "core/blocks.hpp"
 #include "netlist/bufferize.hpp"
@@ -22,20 +22,52 @@ CoreSynthesizer::CoreSynthesizer(const liberty::CellLibrary &library,
 {
 }
 
-const netlist::Netlist &
-CoreSynthesizer::block(Region region, const CoreConfig &config)
+CoreSynthesizer::BlockTiming
+CoreSynthesizer::timeBlock(const netlist::Netlist &comb, int stages) const
 {
-    const auto key = std::make_tuple(static_cast<int>(region),
-                                     config.fetchWidth,
-                                     config.aluPipes);
-    auto it = blockCache.find(key);
-    if (it == blockCache.end()) {
-        it = blockCache
-                 .emplace(key, netlist::bufferize(
-                                   buildRegionBlock(region, config), 6))
-                 .first;
+    const auto report = pipeliner.pipeline(comb, stages);
+    const auto sta = engine.analyze(report.netlist);
+    return {sta.minClockPeriod, sta.area, sta.cellCount};
+}
+
+template <typename Compute>
+CoreSynthesizer::BlockTiming
+CoreSynthesizer::memoized(const MemoKey &key, stats::Counter &hits,
+                          stats::Counter &misses, Compute &&compute)
+{
+    std::optional<std::promise<BlockTiming>> claim;
+    std::shared_future<BlockTiming> value;
+    {
+        std::lock_guard<std::mutex> lock(memoMutex);
+        auto [it, inserted] = memo.try_emplace(key);
+        if (inserted)
+            it->second = claim.emplace().get_future().share();
+        value = it->second;
     }
-    return it->second;
+    if (!claim) {
+        ++hits;
+        return value.get();
+    }
+    // Computed outside the lock. Nested parallel regions run inline,
+    // so this never waits on a task that could be waiting on `value`.
+    ++misses;
+    try {
+        claim->set_value(compute());
+    } catch (...) {
+        claim->set_exception(std::current_exception());
+    }
+    return value.get();
+}
+
+const netlist::Netlist &
+CoreSynthesizer::complexAlu()
+{
+    std::call_once(aluOnce, [this] {
+        const netlist::Netlist raw = buildComplexAlu();
+        aluDigest = raw.contentDigest();
+        alu = netlist::bufferize(raw, 6);
+    });
+    return alu;
 }
 
 CoreTiming
@@ -43,6 +75,18 @@ CoreSynthesizer::synthesize(const CoreConfig &config)
 {
     static stats::Counter &stat_calls = stats::counter(
         "synth.cores.synthesized", "core configurations synthesized");
+    static stats::Counter &stat_hits = stats::counter(
+        "synth.region_cache.hits",
+        "region timings served from the memo");
+    static stats::Counter &stat_misses = stats::counter(
+        "synth.region_cache.misses",
+        "region timings computed (pipeline + STA)");
+    static stats::Counter &stat_alu_hits = stats::counter(
+        "synth.alu_cache.hits",
+        "complex-ALU timings served from the memo");
+    static stats::Counter &stat_alu_misses = stats::counter(
+        "synth.alu_cache.misses",
+        "complex-ALU timings computed (pipeline + STA)");
     OTFT_TRACE_SCOPE("synth.core.synthesize");
     ++stat_calls;
 
@@ -55,36 +99,20 @@ CoreSynthesizer::synthesize(const CoreConfig &config)
     };
 
     for (Region region : all_regions) {
-        const auto key = std::make_tuple(static_cast<int>(region),
-                                         config.fetchWidth,
-                                         config.aluPipes,
-                                         config.stagesIn(region));
-        static stats::Counter &stat_hits = stats::counter(
-            "synth.region_cache.hits",
-            "region timings served from the cache");
-        static stats::Counter &stat_misses = stats::counter(
-            "synth.region_cache.misses",
-            "region timings computed (pipeline + STA)");
-        auto cached = timingCache.find(key);
-        if (cached != timingCache.end()) {
-            ++stat_hits;
-        } else {
-            ++stat_misses;
-            OTFT_TRACE_SCOPE("synth.region.time");
-            const netlist::Netlist &comb = block(region, config);
-            const auto report =
-                pipeliner.pipeline(comb, config.stagesIn(region));
-            const auto sta = engine.analyze(report.netlist);
+        const int stages = config.stagesIn(region);
+        const netlist::Netlist comb = buildRegionBlock(region, config);
+        const BlockTiming bt = memoized(
+            {comb.contentDigest(), stages}, stat_hits, stat_misses, [&] {
+                OTFT_TRACE_SCOPE("synth.region.time");
+                return timeBlock(netlist::bufferize(comb, 6), stages);
+            });
 
-            RegionTiming rt;
-            rt.region = region;
-            rt.stages = config.stagesIn(region);
-            rt.clockPeriod = sta.minClockPeriod;
-            rt.area = sta.area;
-            rt.cells = sta.cellCount;
-            cached = timingCache.emplace(key, rt).first;
-        }
-        const RegionTiming &rt = cached->second;
+        RegionTiming rt;
+        rt.region = region;
+        rt.stages = stages;
+        rt.clockPeriod = bt.clockPeriod;
+        rt.area = bt.area;
+        rt.cells = bt.cells;
         timing.regions.push_back(rt);
         timing.area += rt.area;
     }
@@ -106,14 +134,14 @@ CoreSynthesizer::synthesize(const CoreConfig &config)
         loop_cfg.extraSpanPerNet = span;
         const double wakeup_floor =
             sta::StaEngine(library, loop_cfg)
-                .analyze(loopNetlist(LoopKind::Wakeup, config))
+                .analyze(netlist::bufferize(buildWakeupLoop(config), 6))
                 .minClockPeriod;
 
         loop_cfg.extraSpanPerNet =
             span * static_cast<double>(config.backendWidth()) / 3.0;
         const double bypass_floor =
             sta::StaEngine(library, loop_cfg)
-                .analyze(loopNetlist(LoopKind::Bypass, config))
+                .analyze(netlist::bufferize(buildBypassLoop(config), 6))
                 .minClockPeriod;
 
         for (RegionTiming &rt : timing.regions) {
@@ -139,59 +167,28 @@ CoreSynthesizer::synthesize(const CoreConfig &config)
     // Complex ALU: pipeline just deep enough to meet the core clock
     // (stallable DesignWare-style unit; it never sets the clock).
     {
-        auto it = aluCache.find(0);
-        if (it == aluCache.end()) {
-            it = aluCache
-                     .emplace(0, netlist::bufferize(buildComplexAlu(),
-                                                    6))
-                     .first;
-        }
-        const netlist::Netlist &alu = it->second;
-        auto alu_at = [&](int stages) -> std::pair<double, double> {
-            auto hit = aluTimingCache.find(stages);
-            if (hit == aluTimingCache.end()) {
-                const auto report = pipeliner.pipeline(alu, stages);
-                const auto sta = engine.analyze(report.netlist);
-                hit = aluTimingCache
-                          .emplace(stages,
-                                   std::make_pair(sta.minClockPeriod,
-                                                  sta.area))
-                          .first;
-            }
-            return hit->second;
+        const netlist::Netlist &alu_comb = complexAlu();
+        auto alu_at = [&](int stages) {
+            return memoized({aluDigest, stages}, stat_alu_hits,
+                            stat_alu_misses,
+                            [&] { return timeBlock(alu_comb, stages); });
         };
 
         // Start from a period-ratio estimate and grow until the unit
         // meets the core clock.
-        const double comb_period = alu_at(1).first;
+        const double comb_period = alu_at(1).clockPeriod;
         int stages = std::max(
             1, static_cast<int>(comb_period / timing.clockPeriod));
-        std::pair<double, double> result = alu_at(stages);
-        while (result.first > timing.clockPeriod && stages < 48)
+        BlockTiming result = alu_at(stages);
+        while (result.clockPeriod > timing.clockPeriod && stages < 48)
             result = alu_at(++stages);
         timing.complexAluStages = stages;
-        timing.area += result.second;
+        timing.area += result.area;
     }
 
     timing.frequency =
         timing.clockPeriod > 0.0 ? 1.0 / timing.clockPeriod : 0.0;
     return timing;
-}
-
-const netlist::Netlist &
-CoreSynthesizer::loopNetlist(LoopKind kind, const CoreConfig &config)
-{
-    const auto key = std::make_tuple(static_cast<int>(kind),
-                                     config.fetchWidth,
-                                     config.aluPipes);
-    auto it = loopCache.find(key);
-    if (it == loopCache.end()) {
-        netlist::Netlist loop =
-            kind == LoopKind::Wakeup ? buildWakeupLoop(config)
-                                     : buildBypassLoop(config);
-        it = loopCache.emplace(key, netlist::bufferize(loop, 6)).first;
-    }
-    return it->second;
 }
 
 CoreConfig

@@ -11,6 +11,17 @@
  * structures and the complex ALU (pipelined just deep enough to meet
  * the core clock, as a stallable DesignWare unit would be).
  *
+ * One synthesizer is shared by every task of a sweep: synthesize() is
+ * safe to call concurrently. Pipelining + STA of a block, the costly
+ * part, runs once per synthesizer for each distinct (content digest
+ * of the unbuffered block, stage count) key; the first caller
+ * computes it and concurrent callers of the same key wait for that
+ * result. The key is the block's content rather than a list of the
+ * CoreConfig fields its generator reads, so a generator that starts
+ * reading another field can never be served a stale timing. Only the
+ * timing triples and the complex-ALU netlist are kept; the loop-floor
+ * netlists are rebuilt per call.
+ *
  * Deepening reproduces the paper's methodology: "we synthesize the
  * baseline design and cut the stage which is on the critical path"
  * (Sec. 5.1) — deepen() adds one stage to whichever region currently
@@ -22,13 +33,21 @@
 #ifndef OTFT_CORE_SYNTHESIZER_HPP
 #define OTFT_CORE_SYNTHESIZER_HPP
 
+#include <cstdint>
+#include <future>
 #include <map>
+#include <mutex>
+#include <utility>
 #include <vector>
 
 #include "arch/config.hpp"
 #include "liberty/library.hpp"
 #include "sta/pipeline.hpp"
 #include "sta/sta.hpp"
+
+namespace otft::stats {
+class Counter;
+}
 
 namespace otft::core {
 
@@ -59,7 +78,11 @@ struct CoreTiming
     std::vector<RegionTiming> regions;
 };
 
-/** Synthesizes cores against one library. */
+/**
+ * Synthesizes cores against one library. synthesize() and deepen()
+ * may run concurrently on one instance; it is neither copyable nor
+ * movable.
+ */
 class CoreSynthesizer
 {
   public:
@@ -81,32 +104,50 @@ class CoreSynthesizer
     /**
      * Broadcast-span coefficient for the single-cycle loop floors:
      * loop nets route an extra loopSpanCoefficient * sqrt(core area).
+     * Set it before sharing the synthesizer across threads.
      */
     double loopSpanCoefficient = 0.09;
 
   private:
-    /** Bufferized combinational block, cached by (region, widths). */
-    const netlist::Netlist &block(arch::Region region,
-                                  const arch::CoreConfig &config);
+    /** Period, area and cell count of one pipelined block. */
+    struct BlockTiming
+    {
+        double clockPeriod = 0.0;
+        double area = 0.0;
+        std::size_t cells = 0;
+    };
 
-    enum class LoopKind { Wakeup, Bypass };
+    /** (content digest of the unpipelined block, stage count). */
+    using MemoKey = std::pair<std::uint64_t, int>;
 
-    /** Bufferized loop netlist, cached by (kind, widths). */
-    const netlist::Netlist &loopNetlist(LoopKind kind,
-                                        const arch::CoreConfig &config);
+    /** Pipeline `comb` into `stages` stages and run STA on it. */
+    BlockTiming timeBlock(const netlist::Netlist &comb, int stages) const;
+
+    /**
+     * The memo's one entry point: returns the value for `key`,
+     * running `compute` only if no caller has claimed the key yet.
+     * Concurrent callers of a claimed key wait for its value. If
+     * `compute` throws, every caller of the key, then and later,
+     * gets that exception.
+     */
+    template <typename Compute>
+    BlockTiming memoized(const MemoKey &key, stats::Counter &hits,
+                         stats::Counter &misses, Compute &&compute);
+
+    /** The bufferized complex ALU, built on first use. */
+    const netlist::Netlist &complexAlu();
 
     const liberty::CellLibrary &library;
     sta::StaConfig staConfig_;
     sta::StaEngine engine;
     sta::Pipeliner pipeliner;
-    std::map<std::tuple<int, int, int>, netlist::Netlist> blockCache;
-    std::map<std::tuple<int, int, int>, netlist::Netlist> loopCache;
-    /** Region timing cached by (region, fetchWidth, aluPipes, stages). */
-    std::map<std::tuple<int, int, int, int>, RegionTiming> timingCache;
-    /** Complex ALU comb block (width-independent). */
-    std::map<int, netlist::Netlist> aluCache;
-    /** Complex ALU pipelined timing by stage count. */
-    std::map<int, std::pair<double, double>> aluTimingCache;
+
+    std::mutex memoMutex;
+    std::map<MemoKey, std::shared_future<BlockTiming>> memo;
+
+    std::once_flag aluOnce;
+    netlist::Netlist alu;
+    std::uint64_t aluDigest = 0;
 };
 
 } // namespace otft::core

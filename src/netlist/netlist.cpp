@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "util/logging.hpp"
+#include "util/result_cache.hpp"
 #include "util/stats_registry.hpp"
 
 namespace otft::netlist {
@@ -129,6 +130,26 @@ Netlist::countKind(GateKind kind) const
     return static_cast<std::size_t>(
         std::count_if(gates_.begin(), gates_.end(),
                       [&](const Gate &g) { return g.kind == kind; }));
+}
+
+std::uint64_t
+Netlist::contentDigest() const
+{
+    cache::KeyHasher h;
+    h.add("netlist-v1").add(static_cast<std::uint64_t>(gates_.size()));
+    for (const Gate &g : gates_) {
+        // Field by field: Gate has padding, whose bytes are unset.
+        std::int32_t record[4] = {static_cast<std::int32_t>(g.kind),
+                                  g.fanin[0], g.fanin[1], g.fanin[2]};
+        h.add(record, sizeof record);
+    }
+    h.add(static_cast<std::uint64_t>(inputNames_.size()));
+    for (const std::string &name : inputNames_)
+        h.add(name);
+    h.add(static_cast<std::uint64_t>(outputs_.size()));
+    for (const OutputPort &port : outputs_)
+        h.add(port.name).add(static_cast<std::int64_t>(port.gate));
+    return h.digest();
 }
 
 std::vector<std::vector<GateId>>

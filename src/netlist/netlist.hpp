@@ -93,6 +93,14 @@ class Netlist
     /** Number of instances of each library cell kind. */
     std::size_t countKind(GateKind kind) const;
 
+    /**
+     * 64-bit digest of the netlist's content: every gate's kind and
+     * fanins in id order, the primary input names, and the named
+     * outputs. Equal netlists digest equal, so it keys memos of
+     * anything computed from a netlist alone.
+     */
+    std::uint64_t contentDigest() const;
+
     /** Fanout gate lists, indexed by gate id (computed on demand). */
     std::vector<std::vector<GateId>> fanouts() const;
 

@@ -27,7 +27,6 @@ namespace {
 struct StageAssigner
 {
     const Netlist &nl;
-    const liberty::CellLibrary &library;
     /** Per-gate incremental delay (arc at its net load + net wire). */
     const std::vector<double> &gateDelay;
     /** Delay from a stage-entry register to a gate's inputs. */
@@ -37,14 +36,15 @@ struct StageAssigner
     int
     assign(double budget, std::vector<int> &stage) const
     {
-        const std::size_t n = nl.numGates();
+        const std::vector<Gate> &gates = nl.gates();
+        const std::size_t n = gates.size();
         stage.assign(n, 0);
         std::vector<double> intra(n, 0.0);
         int max_stage = 0;
 
-        for (GateId id : nl.topoOrder()) {
-            const std::size_t g = static_cast<std::size_t>(id);
-            const Gate &gate = nl.gate(id);
+        // Insertion order is topological (Netlist::topoOrder()).
+        for (std::size_t g = 0; g < n; ++g) {
+            const Gate &gate = gates[g];
             const int fan_in = netlist::fanInOf(gate.kind);
             if (fan_in == 0) {
                 stage[g] = 0;
@@ -137,7 +137,7 @@ Pipeliner::pipeline(const Netlist &comb, int stages) const
         }
 
         const liberty::FlopTiming &flop = library.cell("dff").flop;
-        StageAssigner assigner{comb, library, gate_delay, flop.clkToQ};
+        StageAssigner assigner{comb, gate_delay, flop.clkToQ};
 
         // Parametric search: smallest per-stage budget that fits in
         // the requested stage count.

@@ -1,6 +1,7 @@
 #include "sta/sta.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 
 #include "util/logging.hpp"
@@ -13,6 +14,50 @@ using netlist::Gate;
 using netlist::GateId;
 using netlist::GateKind;
 using netlist::Netlist;
+
+namespace {
+
+/**
+ * The library cell of every GateKind, resolved once per analysis so
+ * the per-gate loops index an array instead of building a name and
+ * searching the library's map.
+ */
+class CellTable
+{
+  public:
+    explicit CellTable(const liberty::CellLibrary &library)
+        : library(library)
+    {
+        for (std::size_t k = 0; k < cells.size(); ++k) {
+            const char *name =
+                netlist::cellNameOf(static_cast<GateKind>(k));
+            if (name && library.hasCell(name))
+                cells[k] = &library.cell(name);
+        }
+    }
+
+    /**
+     * @return the cell implementing `kind`, or nullptr for inputs and
+     * constants. A cell the library lacks is fatal, as on lookup.
+     */
+    const liberty::StdCell *
+    of(GateKind kind) const
+    {
+        const liberty::StdCell *cell =
+            cells[static_cast<std::size_t>(kind)];
+        if (!cell && netlist::cellNameOf(kind))
+            return &library.cell(netlist::cellNameOf(kind));
+        return cell;
+    }
+
+  private:
+    const liberty::CellLibrary &library;
+    std::array<const liberty::StdCell *,
+               static_cast<std::size_t>(GateKind::Dff) + 1>
+        cells{};
+};
+
+} // namespace
 
 StaEngine::Propagation
 StaEngine::propagate(const Netlist &nl) const
@@ -36,7 +81,8 @@ StaEngine::propagate(const Netlist &nl) const
     ++stat_passes;
 
     const std::size_t n = nl.numGates();
-    const auto fanouts = nl.fanouts();
+    const std::vector<Gate> &gates = nl.gates();
+    const CellTable cells(library);
     const liberty::StdCell &dff_cell = library.cell("dff");
 
     Propagation p;
@@ -49,27 +95,32 @@ StaEngine::propagate(const Netlist &nl) const
     // Block-span term of the wireload model: nets in a bigger block
     // route farther.
     double cell_area = 0.0;
-    for (const Gate &gate : nl.gates()) {
-        const char *cn = netlist::cellNameOf(gate.kind);
-        if (cn)
-            cell_area += library.cell(cn).area;
-    }
+    for (const Gate &gate : gates)
+        if (const liberty::StdCell *cell = cells.of(gate.kind))
+            cell_area += cell->area;
     const double span = config_.extraSpanPerNet +
                         config_.spanCoefficient * std::sqrt(cell_area);
 
     // --- Per-net loads: sink pin caps + wire cap; per-net wire delay.
-    for (std::size_t g = 0; g < n; ++g) {
-        double sink_cap = 0.0;
-        for (GateId s : fanouts[g]) {
-            const Gate &sink = nl.gate(s);
-            const char *cell_name = netlist::cellNameOf(sink.kind);
-            if (cell_name)
-                sink_cap += library.cell(cell_name).inputCap;
+    // Sinks are visited in (sink id, pin) order, so each net's pin
+    // caps sum in the same order as over Netlist::fanouts().
+    std::vector<int> fanout_count(n, 0);
+    for (const Gate &sink : gates) {
+        const liberty::StdCell *cell = cells.of(sink.kind);
+        for (GateId src : sink.fanin) {
+            if (src == netlist::nullGate)
+                continue;
+            const std::size_t s = static_cast<std::size_t>(src);
+            ++fanout_count[s];
+            if (cell)
+                p.netLoad[s] += cell->inputCap;
         }
+    }
+    for (std::size_t g = 0; g < n; ++g) {
         ++stat_wires;
-        const WireEstimate wire = wireModel.estimate(
-            static_cast<int>(fanouts[g].size()), sink_cap, span);
-        p.netLoad[g] = sink_cap + wire.cap;
+        const WireEstimate wire =
+            wireModel.estimate(fanout_count[g], p.netLoad[g], span);
+        p.netLoad[g] += wire.cap;
         p.netWireDelay[g] = wire.delay;
     }
 
@@ -77,9 +128,9 @@ StaEngine::propagate(const Netlist &nl) const
     const double launch =
         config_.registerInputs ? dff_cell.flop.clkToQ : 0.0;
 
-    for (GateId id : nl.topoOrder()) {
-        const std::size_t g = static_cast<std::size_t>(id);
-        const Gate &gate = nl.gate(id);
+    // Insertion order is topological (Netlist::topoOrder()).
+    for (std::size_t g = 0; g < n; ++g) {
+        const Gate &gate = gates[g];
         switch (gate.kind) {
           case GateKind::Input:
             p.arrival[g] = launch;
@@ -105,8 +156,7 @@ StaEngine::propagate(const Netlist &nl) const
             break;
         }
 
-        const char *cell_name = netlist::cellNameOf(gate.kind);
-        const liberty::StdCell &cell = library.cell(cell_name);
+        const liberty::StdCell &cell = *cells.of(gate.kind);
         double best = neg_inf;
         double best_slew = library.defaultSlew();
         GateId best_pred = netlist::nullGate;
@@ -206,13 +256,13 @@ StaEngine::analyze(const Netlist &nl) const
     result.criticalWireDelay = wire_sum;
 
     // --- Area and leakage.
+    const CellTable cells(library);
     for (const Gate &gate : nl.gates()) {
-        const char *cell_name = netlist::cellNameOf(gate.kind);
-        if (!cell_name)
+        const liberty::StdCell *cell = cells.of(gate.kind);
+        if (!cell)
             continue;
-        const liberty::StdCell &cell = library.cell(cell_name);
-        result.area += cell.area;
-        result.leakage += cell.leakage;
+        result.area += cell->area;
+        result.leakage += cell->leakage;
         ++result.cellCount;
         if (gate.kind == GateKind::Dff)
             ++result.flopCount;

@@ -132,6 +132,28 @@ TEST(Netlist, FanoutsAreComplete)
     EXPECT_EQ(fo[static_cast<std::size_t>(n1)].size(), 1u);
 }
 
+TEST(Netlist, ContentDigestTracksEveryPart)
+{
+    // Inverter chain "a" -> "o" with one gate kind, input name or
+    // output name optionally changed.
+    const auto build = [](GateKind kind, const char *in,
+                          const char *out) {
+        Netlist nl;
+        NetBuilder b(nl);
+        const GateId a = b.input(in);
+        const GateId g = kind == GateKind::Inv
+                             ? b.notGate(a)
+                             : nl.addGate(kind, a, a);
+        b.output(out, b.notGate(g));
+        return nl.contentDigest();
+    };
+    const std::uint64_t base = build(GateKind::Inv, "a", "o");
+    EXPECT_EQ(build(GateKind::Inv, "a", "o"), base);
+    EXPECT_NE(build(GateKind::Nand2, "a", "o"), base);
+    EXPECT_NE(build(GateKind::Inv, "b", "o"), base);
+    EXPECT_NE(build(GateKind::Inv, "a", "p"), base);
+}
+
 TEST(Netlist, CountKind)
 {
     Netlist nl;

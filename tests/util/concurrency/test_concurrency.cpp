@@ -1,7 +1,7 @@
 /**
  * @file
- * Concurrency stress harness for the instrumentation subsystem and
- * the parallel layer. Every test hammers one shared structure from
+ * Concurrency stress harness for the instrumentation subsystem, the
+ * parallel layer and the shared core synthesizer. Every test hammers one shared structure from
  * many threads and then asserts *exact* totals — races that drop or
  * double-count updates fail the assertion, and the data races
  * themselves are caught when this binary runs under ThreadSanitizer
@@ -16,11 +16,16 @@
 #include <fstream>
 #include <set>
 #include <sstream>
+#include <utility>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "core/blocks.hpp"
+#include "core/synthesizer.hpp"
+#include "liberty/silicon.hpp"
 #include "util/json.hpp"
+#include "util/logging.hpp"
 #include "util/parallel.hpp"
 #include "util/stats_registry.hpp"
 #include "util/trace.hpp"
@@ -283,6 +288,100 @@ TEST(ConcurrencyStress, ScopesAggregateExactCounts)
     EXPECT_EQ(acc.count(), static_cast<std::uint64_t>(kThreads) *
                                per_thread);
     EXPECT_GE(acc.min(), 0.0);
+}
+
+/** Front-end 1-2 x back-end 3-4 cores, each listed twice. */
+std::vector<arch::CoreConfig>
+contendedGrid()
+{
+    std::vector<arch::CoreConfig> grid;
+    for (int copy = 0; copy < 2; ++copy)
+        for (int fe = 1; fe <= 2; ++fe)
+            for (int be = 3; be <= 4; ++be) {
+                arch::CoreConfig config = arch::baselineConfig();
+                config.fetchWidth = fe;
+                config.aluPipes = be - config.memPipes - config.branchPipes;
+                grid.push_back(config);
+            }
+    return grid;
+}
+
+TEST(ConcurrencyStress, SharedSynthesizerTimesEachBlockOnce)
+{
+    const liberty::CellLibrary silicon = liberty::makeSiliconLibrary();
+    const std::vector<arch::CoreConfig> grid = contendedGrid();
+
+    // The distinct (block content, stage count) pairs of the grid:
+    // each region depends on front-end width only, on ALU pipes only,
+    // or on neither, so the 8 tasks share most of their 64 blocks.
+    std::set<std::pair<std::uint64_t, int>> distinct;
+    for (const arch::CoreConfig &config : grid)
+        for (int r = 0; r < arch::numRegions; ++r) {
+            const auto region = static_cast<arch::Region>(r);
+            distinct.emplace(
+                core::buildRegionBlock(region, config).contentDigest(),
+                config.stagesIn(region));
+        }
+
+    stats::Counter &hits = stats::counter("synth.region_cache.hits");
+    stats::Counter &misses = stats::counter("synth.region_cache.misses");
+    const std::uint64_t hits_before = hits.value();
+    const std::uint64_t misses_before = misses.value();
+
+    core::CoreSynthesizer shared(silicon);
+    const std::vector<core::CoreTiming> timings = [&] {
+        parallel::JobsOverride pin(kThreads);
+        return parallel::orderedMap<core::CoreTiming>(
+            grid.size(),
+            [&](std::size_t k) { return shared.synthesize(grid[k]); });
+    }();
+
+    const std::uint64_t computed = misses.value() - misses_before;
+    EXPECT_EQ(computed, distinct.size());
+    EXPECT_EQ(computed + (hits.value() - hits_before),
+              grid.size() * arch::numRegions);
+
+    for (std::size_t k = 0; k < grid.size(); ++k) {
+        SCOPED_TRACE(::testing::Message() << "point " << k);
+        const core::CoreTiming fresh =
+            core::CoreSynthesizer(silicon).synthesize(grid[k]);
+        const core::CoreTiming &got = timings[k];
+        EXPECT_EQ(got.clockPeriod, fresh.clockPeriod);
+        EXPECT_EQ(got.frequency, fresh.frequency);
+        EXPECT_EQ(got.area, fresh.area);
+        EXPECT_EQ(got.critical, fresh.critical);
+        EXPECT_EQ(got.complexAluStages, fresh.complexAluStages);
+        ASSERT_EQ(got.regions.size(), fresh.regions.size());
+        for (std::size_t i = 0; i < got.regions.size(); ++i) {
+            EXPECT_EQ(got.regions[i].region, fresh.regions[i].region);
+            EXPECT_EQ(got.regions[i].stages, fresh.regions[i].stages);
+            EXPECT_EQ(got.regions[i].clockPeriod,
+                      fresh.regions[i].clockPeriod);
+            EXPECT_EQ(got.regions[i].area, fresh.regions[i].area);
+            EXPECT_EQ(got.regions[i].cells, fresh.regions[i].cells);
+        }
+    }
+}
+
+TEST(ConcurrencyStress, SharedSynthesizerFatalReachesEveryWaiter)
+{
+    const liberty::CellLibrary silicon = liberty::makeSiliconLibrary();
+    // Zero decode stages: the pipeliner rejects the block, and every
+    // task that asked for it must see the error, not a value.
+    arch::CoreConfig bad = arch::baselineConfig();
+    bad.stagesIn(arch::Region::Decode) = 0;
+
+    core::CoreSynthesizer shared(silicon);
+    std::atomic<int> failed{0};
+    parallel::JobsOverride pin(kThreads);
+    parallel::parallelFor(kThreads, [&](std::size_t) {
+        try {
+            (void)shared.synthesize(bad);
+        } catch (const FatalError &) {
+            ++failed;
+        }
+    });
+    EXPECT_EQ(failed.load(), kThreads);
 }
 
 } // namespace
