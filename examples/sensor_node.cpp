@@ -20,6 +20,7 @@
 #include "core/explorer.hpp"
 #include "liberty/characterizer.hpp"
 #include "util/cli.hpp"
+#include "util/logging.hpp"
 #include "util/table.hpp"
 
 using namespace otft;
@@ -34,11 +35,18 @@ constexpr double instructionsPerSample = 2000.0;
 
 int
 main(int argc, char **argv)
-{
+try {
     cli::Session session("sensor_node", argc, argv);
+    if (argc > 2)
+        fatal("usage: sensor_node [samples_per_second]");
     double samples_per_second = 0.05; // one sample every 20 s
-    if (argc > 1)
-        samples_per_second = std::atof(argv[1]);
+    if (argc > 1) {
+        char *end = nullptr;
+        samples_per_second = std::strtod(argv[1], &end);
+        if (end == argv[1] || *end != '\0' || !(samples_per_second > 0.0))
+            fatal("sensor_node: samples_per_second must be a positive "
+                  "number, got '", argv[1], "'");
+    }
     const double required_ips =
         samples_per_second * instructionsPerSample;
 
@@ -101,4 +109,6 @@ main(int argc, char **argv)
                     samples_per_second);
     }
     return 0;
+} catch (const FatalError &) {
+    return 1; // fatal() has already printed the reason
 }

@@ -4,7 +4,7 @@
 # pass; CI runs exactly this script.
 #
 # Usage: scripts/verify.sh [--tsan|--asan|--bench|--diag|--profile|
-#        --mc|--repeat [N]] [build-dir]
+#        --mc|--perfbench|--repeat [N]] [build-dir]
 #
 #   --tsan   build with -fsanitize=thread into <build-dir>-tsan and
 #            run the concurrency-labelled tests under it
@@ -36,6 +36,13 @@
 #            end, writing the three corner .lib artifacts and
 #            re-validating them from disk with --check. Tens of
 #            seconds of solver time, so opt-in rather than tier-1.
+#   --perfbench  end-to-end benchmark lane: for each perfbench
+#            workload run `perfbench/run.py --seed 1 --seconds 1` (it
+#            builds its own tree from src/ into .bench_build/) and fail
+#            unless it exits 0 and its last stdout line is JSON with
+#            `correct: true` and `failed: 0`. Catches a src/ change
+#            that breaks the harness build or its exact output checks.
+#            A few minutes on a cold .bench_build, so opt-in.
 #   --repeat [N]  order/warm-state lane: run every tier1 test binary
 #            N times (default 10) in a fresh shuffled order each time,
 #            i.e. --gtest_repeat=N --gtest_shuffle (passed as
@@ -57,6 +64,7 @@ PERF_SMOKE=0
 DIAG_SMOKE=0
 PROFILE_SMOKE=0
 MC_SMOKE=0
+PERFBENCH=0
 REPEAT=0
 if [[ "${1:-}" == "--tsan" ]]; then
     SANITIZE="thread"
@@ -79,6 +87,9 @@ elif [[ "${1:-}" == "--profile" ]]; then
 elif [[ "${1:-}" == "--mc" ]]; then
     MC_SMOKE=1
     shift
+elif [[ "${1:-}" == "--perfbench" ]]; then
+    PERFBENCH=1
+    shift
 elif [[ "${1:-}" == "--repeat" ]]; then
     REPEAT=10
     shift
@@ -96,6 +107,36 @@ BUILD_DIR="${1:-build}${LANE_SUFFIX}"
 JOBS="$(nproc 2>/dev/null || sysctl -n hw.ncpu 2>/dev/null || echo 4)"
 
 REPO_ROOT="$(cd "$(dirname "$0")/.." && pwd)"
+
+if [[ "${PERFBENCH}" == "1" ]]; then
+    cd "${REPO_ROOT}"
+    for workload in width_grid yield_signoff characterize; do
+        status=0
+        out="$(python3 perfbench/run.py --workload "${workload}" \
+            --seed 1 --seconds 1)" || status=$?
+        if [[ "${status}" != "0" ]]; then
+            echo "error: perfbench ${workload} exited ${status}" >&2
+            exit 1
+        fi
+        python3 - "${workload}" "${out##*$'\n'}" <<'PY'
+import json
+import sys
+
+workload, line = sys.argv[1:3]
+try:
+    result = json.loads(line)
+except ValueError:
+    sys.exit(f"error: perfbench {workload}: last line is not JSON: "
+             f"{line[:200]!r}")
+if result.get("correct") is not True or result.get("failed") != 0:
+    sys.exit(f"error: perfbench {workload}: correct="
+             f"{result.get('correct')} failed={result.get('failed')}")
+print(f"perfbench {workload} ok: {result.get('attempted')} attempted")
+PY
+    done
+    echo "perfbench lane ok"
+    exit 0
+fi
 
 cmake -B "${BUILD_DIR}" -S "${REPO_ROOT}" -DOTFT_WERROR=ON \
     -DOTFT_SANITIZE="${SANITIZE}"

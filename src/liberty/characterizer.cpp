@@ -35,10 +35,10 @@ fanInOf(const std::string &name)
 
 /**
  * Hash everything outside the (cell, pin, slew, load) coordinates
- * that can change a measurement: device model, sizing, supply,
- * characterization settings, and the solver configuration. Each
- * caller prepends its own versioned salt; bump that salt when the
- * producing algorithm changes in a result-affecting way.
+ * that can change a measurement: device model, sizing, supply and
+ * characterization settings. provenance() prepends
+ * characterizerVersion; bump that when the producing algorithm
+ * changes in a result-affecting way.
  */
 void
 hashInputs(cache::KeyHasher &h, const cells::CellFactory &factory,
@@ -60,23 +60,9 @@ hashInputs(cache::KeyHasher &h, const cells::CellFactory &factory,
     h.add(cfg.settleScale);
 }
 
-void
-hashMeasurementContext(cache::KeyHasher &h,
-                       const cells::CellFactory &factory,
-                       const CharacterizerConfig &cfg,
-                       const circuit::TransientConfig &tran)
-{
-    hashInputs(h, factory, cfg);
-    h.add(tran.dt).add(tran.tStop).add(tran.fixedStep);
-    h.add(tran.lteTol).add(tran.dtMin).add(tran.dtMax);
-    const circuit::NewtonConfig &n = tran.newton;
-    h.add(n.gmin).add(n.maxIterations).add(n.tolerance).add(n.maxStep);
-    h.add(n.chord).add(n.chordRefreshRatio).add(n.singularGminBoost);
-}
-
 /**
  * Tick a progress reporter on scope exit with the scope's wall time,
- * so cache hits and fatal exits count the same as full measurements.
+ * so fatal exits count the same as full measurements.
  */
 struct ProgressTick
 {
@@ -149,23 +135,6 @@ Characterizer::measurePoint(const std::string &name, int pin, double slew,
                          std::max(config_.dt, t_edge / 16.0));
     config.tStop = t2 + t_edge + settle;
 
-    // Memoized arc point: the key covers every input of the
-    // measurement, so a hit is the exact result a cold run produces.
-    cache::KeyHasher arc_key;
-    arc_key.add("arcpoint-v1").add(name).add(pin).add(slew);
-    arc_key.add(load_cap);
-    hashMeasurementContext(arc_key, factory, config_, config);
-    std::vector<double> payload;
-    if (config_.useCache &&
-        cache::lookup("liberty.arcpoint", arc_key.digest(), payload) &&
-        payload.size() == 4) {
-        ArcPoint point;
-        point.delayFall = payload[0];
-        point.delayRise = payload[1];
-        point.slewFall = payload[2];
-        point.slewRise = payload[3];
-        return point;
-    }
     ++stat_points;
 
     cells::BuiltCell cell = instantiate(name, load_cap);
@@ -184,25 +153,9 @@ Characterizer::measurePoint(const std::string &name, int pin, double slew,
         circuit::Pwl::points({0.0, t1, t1 + t_edge, t2, t2 + t_edge},
                              {0.0, 0.0, vdd, vdd, 0.0}));
 
-    // The t = 0 operating point is shared by every slew at the same
-    // (cell, pin, load), so memoize it too. The cached state is used
-    // verbatim as the initial condition — exactly the bits the cold
-    // DC solve produced.
     circuit::TransientAnalysis tran(cell.ckt);
-    cache::KeyHasher dc_key;
-    dc_key.add("dcop-v1").add(name).add(pin).add(load_cap);
-    hashMeasurementContext(dc_key, factory, config_, config);
-    const std::size_t n_unknowns =
-        cell.ckt.numNodes() - 1 + cell.ckt.voltageSources().size();
-    circuit::Solution x0;
-    if (!(config_.useCache &&
-          cache::lookup("circuit.dcop", dc_key.digest(), x0) &&
-          x0.size() == n_unknowns)) {
-        circuit::DcAnalysis dc(cell.ckt, config.newton);
-        x0 = dc.operatingPoint();
-        if (config_.useCache)
-            cache::store("circuit.dcop", dc_key.digest(), x0);
-    }
+    const circuit::Solution x0 =
+        circuit::DcAnalysis(cell.ckt, config.newton).operatingPoint();
     const auto result = tran.run(config, x0);
     const auto in =
         result.node(cell.inputs[static_cast<std::size_t>(pin)]);
@@ -243,10 +196,6 @@ Characterizer::measurePoint(const std::string &name, int pin, double slew,
         fatal("Characterizer: cell ", name, " pin ", pin,
               " failed to switch at slew ", slew, ", load ", load_cap);
     }
-    if (config_.useCache)
-        cache::store("liberty.arcpoint", arc_key.digest(),
-                     {point.delayFall, point.delayRise, point.slewFall,
-                      point.slewRise});
     return point;
 }
 

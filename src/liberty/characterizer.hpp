@@ -45,13 +45,6 @@ struct CharacterizerConfig
      * widens them so a 3-sigma mobility draw still settles.
      */
     double settleScale = 1.0;
-    /**
-     * Memoize arc points and operating points in the process-wide
-     * result cache (util/result_cache.hpp). Hits are used verbatim as
-     * results, so output is bit-identical with the cache cold, warm,
-     * or disabled.
-     */
-    bool useCache = true;
 };
 
 /** Characterizes the six-cell organic library. */
@@ -99,9 +92,8 @@ class Characterizer
         double slewFall = 0.0;
     };
     /**
-     * Measure one grid point: result-cache probe, then (on a miss)
-     * the t = 0 operating point, one transient, and the delay/slew
-     * extraction.
+     * Measure one grid point: the t = 0 operating point, one
+     * transient, and the delay/slew extraction.
      */
     ArcPoint measurePoint(const std::string &name, int pin, double slew,
                           double load_cap) const;
@@ -116,8 +108,7 @@ class Characterizer
     CharacterizerConfig config_;
     /**
      * Progress reporter for the current build() sweep, set for the
-     * duration of build() and ticked per measured point (cache hits
-     * included — they are work items the user is waiting through).
+     * duration of build() and ticked per measured point.
      */
     mutable progress::Reporter *progress_ = nullptr;
 };

@@ -4,6 +4,7 @@
 #include <cstring>
 #include <fstream>
 #include <iostream>
+#include <limits>
 
 #include "util/diag.hpp"
 #include "util/logging.hpp"
@@ -11,7 +12,6 @@
 #include "util/parallel.hpp"
 #include "util/perf_report.hpp"
 #include "util/profiler.hpp"
-#include "util/result_cache.hpp"
 #include "util/stats_registry.hpp"
 #include "util/trace.hpp"
 
@@ -43,26 +43,6 @@ validateWritable(const std::string &path, const char *flag)
     if (!probe)
         fatal("cli: cannot open '", path, "' for writing (", flag,
               ")");
-}
-
-/** Parse a strictly positive decimal integer; fatal otherwise. */
-int
-parsePositiveInt(const std::string &text, const char *source)
-{
-    std::size_t consumed = 0;
-    long value = 0;
-    try {
-        value = std::stol(text, &consumed);
-    } catch (const std::exception &) {
-        fatal("cli: ", source, " must be a positive integer, got '",
-              text, "'");
-    }
-    if (consumed != text.size())
-        fatal("cli: ", source, " must be a positive integer, got '",
-              text, "'");
-    if (value < 1)
-        fatal("cli: ", source, " must be >= 1, got ", value);
-    return static_cast<int>(value);
 }
 
 /** Parse a non-negative decimal uint64 (RNG seed); fatal otherwise. */
@@ -122,6 +102,28 @@ parseJobs(const std::string &text, const char *source)
 
 } // namespace
 
+int
+parsePositiveInt(const std::string &text, const char *source)
+{
+    std::size_t consumed = 0;
+    long value = 0;
+    try {
+        value = std::stol(text, &consumed);
+    } catch (const std::exception &) {
+        fatal("cli: ", source, " must be a positive integer, got '",
+              text, "'");
+    }
+    if (consumed != text.size())
+        fatal("cli: ", source, " must be a positive integer, got '",
+              text, "'");
+    if (value < 1)
+        fatal("cli: ", source, " must be >= 1, got ", value);
+    if (value > std::numeric_limits<int>::max())
+        fatal("cli: ", source, " must be <= ",
+              std::numeric_limits<int>::max(), ", got ", value);
+    return static_cast<int>(value);
+}
+
 Session::Session(std::string name_in, int &argc, char **argv,
                  Footer footer_in)
     : name(std::move(name_in)), footer(footer_in == Footer::On),
@@ -148,11 +150,6 @@ Session::Session(std::string name_in, int &argc, char **argv,
             if (!has_value)
                 fatal("cli: --jobs requires a count");
             jobs_ = parseJobs(argv[i + 1], "--jobs");
-            consumeArgs(argc, argv, i, 2);
-        } else if (std::strcmp(arg, "--cache-dir") == 0) {
-            if (!has_value)
-                fatal("cli: --cache-dir requires a directory");
-            cacheDir = argv[i + 1];
             consumeArgs(argc, argv, i, 2);
         } else if (std::strcmp(arg, "--diag-json") == 0) {
             if (!has_value)
@@ -205,9 +202,6 @@ Session::Session(std::string name_in, int &argc, char **argv,
         jobs_ = parallel::hardwareJobs();
     parallel::setJobs(jobs_);
 
-    if (!cacheDir.empty())
-        cache::ResultCache::instance().setDirectory(cacheDir);
-
     if (!statsJsonPath.empty())
         validateWritable(statsJsonPath, "--stats-json");
     if (!traceJsonPath.empty()) {
@@ -220,7 +214,7 @@ Session::Session(std::string name_in, int &argc, char **argv,
         diag::Collector::instance().setEnabled(true);
     }
     // setDumpDirectory implies setEnabled and is fatal when the
-    // directory cannot be created — same policy as --cache-dir.
+    // directory cannot be created.
     if (!diagDir.empty())
         diag::Collector::instance().setDumpDirectory(diagDir);
     if (!metricsPath.empty())
@@ -279,11 +273,6 @@ Session::~Session()
         inform("metrics: wrote ", metrics::sampleCount(),
                " samples to ", metricsPath);
     }
-
-    // Persist memoized results before reporting; flush warns rather
-    // than throws on write failure.
-    if (!cacheDir.empty())
-        cache::ResultCache::instance().flush();
 
     if (!traceJsonPath.empty()) {
         // The path was probed at construction; losing it mid-run

@@ -11,7 +11,6 @@
  *   --stats               print the stats text table to stderr on exit
  *   --trace-json <path>   collect a Chrome trace_event timeline
  *   --jobs <n>            worker threads for the parallel layers
- *   --cache-dir <dir>     persist the result cache as JSON under dir
  *   --diag-json <path>    write solver convergence telemetry on exit
  *   --diag-dir <dir>      write failure forensics dumps under dir
  *   --metrics-jsonl <path>  stream periodic registry snapshots (JSONL)
@@ -36,6 +35,11 @@
  * --stats-json/--trace-json target is a fatal() at construction
  * (clear message, nonzero exit), not a silent warning after the run
  * has burned its compute.
+ *
+ * Anything else stays in argv for the driver. A driver that takes
+ * numeric arguments parses them with parsePositiveInt (or an equally
+ * checked parse) before it builds a library, so a stray or mistyped
+ * flag fails fast instead of silently truncating a sweep.
  */
 
 #ifndef OTFT_UTIL_CLI_HPP
@@ -47,6 +51,12 @@
 #include <vector>
 
 namespace otft::cli {
+
+/**
+ * Parse a strictly positive decimal integer from `text`; fatal()
+ * naming `source` (the flag or argument) otherwise.
+ */
+int parsePositiveInt(const std::string &text, const char *source);
 
 /** Footer behavior for Session. */
 enum class Footer { Off, On };
@@ -95,9 +105,6 @@ class Session
     /** The worker count installed into parallel::setJobs(). */
     int jobs() const { return jobs_; }
 
-    /** The result-cache persistence directory ("" = memory only). */
-    const std::string &cacheDirectory() const { return cacheDir; }
-
     /** Diagnostics settings (exposed for tests). */
     const std::string &diagJson() const { return diagJsonPath; }
     const std::string &diagDirectory() const { return diagDir; }
@@ -123,7 +130,6 @@ class Session
     int metricsPeriod = 100;
     std::string statsJsonPath;
     std::string traceJsonPath;
-    std::string cacheDir;
     std::string diagJsonPath;
     std::string diagDir;
     std::string metricsPath;

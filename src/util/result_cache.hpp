@@ -1,38 +1,29 @@
 /**
  * @file
- * Content-addressed result cache for deterministic physics results.
+ * Content-addressed in-memory memo for deterministic results.
  *
- * Characterization and exploration sweeps repeat identical work: the
- * fig11-fig15 benches share cells across design points, perf reps
- * re-measure the same arcs, and every (slew, load) grid point of a
- * cell re-solves the same DC operating point. Results are pure
- * functions of their inputs, so they are memoized here under a
- * content hash of everything that can change the answer (netlist
- * canonical form, device-model parameters, solver configuration,
- * stimulus parameters).
+ * Sweeps can ask for the same design point twice in one process (a
+ * yield sign-off re-evaluates a config at several corners that share
+ * a library); the explorer memoizes those evaluations here under a
+ * content hash of everything that can change the answer (library
+ * content, STA and exploration settings, the full core config). The
+ * stamped `.lib` files (liberty/serialize) are the only on-disk
+ * cache; this memo lives and dies with the process.
  *
  * Determinism contract: cached payloads are the exact doubles a cold
- * computation produced (in memory verbatim; on disk via %.17g, which
- * round-trips binary64 exactly). Callers use a hit *as* the result,
- * never as an iteration seed, so cache-warm output is bit-identical
- * to cache-cold output and immune to which parallel task computed the
+ * computation produced. Callers use a hit *as* the result, never as
+ * an iteration seed, so cache-warm output is bit-identical to
+ * cache-cold output and immune to which parallel task computed the
  * entry first.
  *
  * Thread safety: all public methods lock one internal mutex; the
  * cache is shared freely across the util/parallel worker pool.
- *
- * Persistence: in-memory LRU always; optionally backed by a JSON file
- * (`<dir>/result_cache.json`) loaded at setDirectory() and written by
- * flush(). cli::Session wires `--cache-dir` to this
- * and flushes on exit. Corrupt or truncated cache files are never
- * fatal: parse failures warn and behave as a miss.
  */
 
 #ifndef OTFT_UTIL_RESULT_CACHE_HPP
 #define OTFT_UTIL_RESULT_CACHE_HPP
 
 #include <cstdint>
-#include <list>
 #include <mutex>
 #include <string>
 #include <unordered_map>
@@ -44,8 +35,8 @@ namespace otft::cache {
  * FNV-1a 64-bit streaming hasher for cache keys. Doubles are hashed
  * by bit pattern (after normalizing -0.0 to +0.0), strings with a
  * length prefix so concatenations cannot collide, and every key
- * should start with a versioned salt ("arcpoint-v1") so a change in
- * the producing algorithm retires stale entries.
+ * should start with a versioned salt ("explorer.point-v1") so a
+ * change in the producing algorithm retires stale entries.
  */
 class KeyHasher
 {
@@ -70,35 +61,15 @@ class KeyHasher
 /** A digest as 16 lowercase hex digits. */
 std::string hexDigest(std::uint64_t digest);
 
-/** The process-wide content-addressed cache. */
+/** The process-wide content-addressed memo. */
 class ResultCache
 {
   public:
     static ResultCache &instance();
 
     /**
-     * Master enable. Disabled, lookup() always misses and store() is
-     * a no-op (existing entries are retained for re-enabling).
-     */
-    void setEnabled(bool enabled);
-    bool enabled() const;
-
-    /** Maximum in-memory entries before LRU eviction. */
-    void setCapacity(std::size_t max_entries);
-
-    /**
-     * Enable disk persistence under `dir` (created if missing; fatal
-     * only when creation fails — that is a user-configuration error).
-     * Loads `dir/result_cache.json` immediately; a corrupt, truncated,
-     * or schema-mismatched file warns and is treated as empty. An
-     * empty dir disables persistence.
-     */
-    void setDirectory(const std::string &dir);
-    const std::string &directory() const;
-
-    /**
      * Look up `domain` + `key`. On hit the payload is copied into
-     * `out` and the entry is refreshed in LRU order.
+     * `out`.
      */
     bool lookup(const std::string &domain, std::uint64_t key,
                 std::vector<double> &out);
@@ -107,14 +78,7 @@ class ResultCache
     void store(const std::string &domain, std::uint64_t key,
                std::vector<double> values);
 
-    /**
-     * Write the current entries to `dir/result_cache.json` when a
-     * directory is configured; otherwise a no-op. Write failures warn
-     * (never fatal: persistence is an optimization).
-     */
-    void flush();
-
-    /** Drop every entry (configuration is retained). */
+    /** Drop every entry. */
     void clear();
 
     /** Current entry count. */
@@ -123,22 +87,8 @@ class ResultCache
   private:
     ResultCache();
 
-    struct Entry
-    {
-        std::vector<double> values;
-        std::list<std::string>::iterator lruPos;
-    };
-
-    void evictLocked();
-    void loadLocked();
-
     mutable std::mutex mutex_;
-    bool enabled_ = true;
-    std::size_t capacity_ = 65536;
-    std::string dir_;
-    /** Most-recently-used keys at the front. */
-    std::list<std::string> lru;
-    std::unordered_map<std::string, Entry> entries;
+    std::unordered_map<std::string, std::vector<double>> entries;
 };
 
 /** Shorthand accessors on the process-wide instance. */

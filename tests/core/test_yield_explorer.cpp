@@ -5,6 +5,9 @@
 #include "arch/config.hpp"
 #include "core/yield_explorer.hpp"
 #include "liberty/silicon.hpp"
+#include "util/result_cache.hpp"
+#include "util/stats_registry.hpp"
+#include "workload/trace.hpp"
 
 namespace otft::core {
 namespace {
@@ -104,6 +107,44 @@ TEST(YieldExplorer, WidthSweepShapeAndSignOff)
             EXPECT_GT(p.yieldPerformance, 0.0);
             EXPECT_LE(p.yieldPerformance, p.nominal.performance);
         }
+}
+
+TEST(YieldExplorer, PointMemoHitsExactlyTheRepeatedEvaluations)
+{
+    // The explorer.point memo may serve only an evaluation the sweeps
+    // request twice, and every other evaluation simulates. Downstream
+    // cycle totals (perfbench's yield_signoff check) count simulated
+    // points only, so they depend on exactly this hit pattern.
+    cache::ResultCache::instance().clear();
+    YieldExplorerConfig config = quickConfig();
+    config.explorer.instructions = 2000;
+    YieldExplorer explorer(testCorners(), config);
+
+    const auto counters = [] {
+        return stats::Registry::instance().counterSnapshot();
+    };
+    auto before = counters();
+    // Depth 9..10 on the baseline widths, then front end 1 x back
+    // end 3-4, each at the mean and slow corners: the 1x3 width point
+    // is the 9-stage baseline again, one repeat per corner.
+    (void)explorer.depthSweepAtYield(10);
+    (void)explorer.widthSweepAtYield(1, 1, 3, 4);
+    auto after = counters();
+
+    const std::uint64_t hits = after["cache.hits"] - before["cache.hits"];
+    const std::uint64_t evaluated = after["explorer.points.evaluated"] -
+                                    before["explorer.points.evaluated"];
+    const std::uint64_t instructions =
+        after["arch.instructions.simulated"] -
+        before["arch.instructions.simulated"];
+    EXPECT_EQ(evaluated, 2u * (2u + 2u));
+    EXPECT_EQ(hits, 2u);
+    // Each simulated point commits `instructions` per workload, plus
+    // at most a commit group's overshoot.
+    const std::uint64_t per_point = config.explorer.instructions *
+                                    workload::paperWorkloads().size();
+    EXPECT_EQ(evaluated - hits, instructions / per_point);
+    cache::ResultCache::instance().clear();
 }
 
 } // namespace

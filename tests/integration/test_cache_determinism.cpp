@@ -1,10 +1,9 @@
 /**
  * @file
- * End-to-end determinism of the content-addressed result cache: a
- * cache-warm run must be byte-identical to the cache-cold run that
- * populated it, a cached run must match a cache-disabled run, and the
- * cache must stay race-free under the parallel fan-out. Every double
- * is printed with %.17g, so a single flipped bit fails the compare.
+ * End-to-end determinism of the explorer.point memo: a cache-warm
+ * evaluation must be byte-identical to the cache-cold one that
+ * populated it and to an uncached one. Every double is printed with
+ * %.17g, so a single flipped bit fails the compare.
  */
 
 #include <gtest/gtest.h>
@@ -14,9 +13,7 @@
 
 #include "arch/config.hpp"
 #include "core/explorer.hpp"
-#include "liberty/characterizer.hpp"
 #include "liberty/silicon.hpp"
-#include "util/parallel.hpp"
 #include "util/result_cache.hpp"
 
 namespace otft {
@@ -43,27 +40,6 @@ append(std::string &out, const char *label,
     out += "\n";
 }
 
-/** Full-precision text dump of one characterized cell. */
-std::string
-dumpCell(const liberty::StdCell &cell)
-{
-    std::string out = "cell " + cell.name + "\n";
-    append(out, "area", cell.area);
-    append(out, "leakage", cell.leakage);
-    append(out, "inputCap", cell.inputCap);
-    for (const auto &arc : cell.arcs) {
-        out += "arc " + arc.fromPin + "\n";
-        for (int sense = 0; sense < 2; ++sense) {
-            append(out, "delay.slews", arc.delay[sense].slewAxis());
-            append(out, "delay.loads", arc.delay[sense].loadAxis());
-            append(out, "delay.values", arc.delay[sense].values());
-            append(out, "slew.values",
-                   arc.outputSlew[sense].values());
-        }
-    }
-    return out;
-}
-
 /** Full-precision text dump of one evaluated design point. */
 std::string
 dumpPoint(const core::DesignPoint &point)
@@ -77,83 +53,6 @@ dumpPoint(const core::DesignPoint &point)
     append(out, "meanIpc", point.meanIpc);
     append(out, "performance", point.performance);
     return out;
-}
-
-liberty::CharacterizerConfig
-miniGrid()
-{
-    liberty::CharacterizerConfig mini;
-    mini.slewAxis = {4e-6, 64e-6};
-    mini.loadMultipliers = {0.5, 6.0};
-    return mini;
-}
-
-std::string
-characterizeInv(const liberty::CharacterizerConfig &cfg, int jobs)
-{
-    parallel::JobsOverride pin(jobs);
-    liberty::Characterizer chr(cells::CellFactory{}, cfg);
-    return dumpCell(chr.characterizeCombinational("inv"));
-}
-
-/**
- * Contract under test: hits are used as whole results, never as
- * iteration seeds, so the bits a warm run reads back are exactly the
- * bits the cold run computed and stored.
- */
-TEST(CacheDeterminism, NldmColdAndWarmRunsAreByteIdentical)
-{
-    auto &cache = cache::ResultCache::instance();
-    cache.clear();
-    const liberty::CharacterizerConfig mini = miniGrid();
-
-    const std::string cold = characterizeInv(mini, 1);
-    ASSERT_GT(cache.size(), 0u)
-        << "cold run should have populated the cache";
-    const std::string warm = characterizeInv(mini, 1);
-
-    EXPECT_FALSE(cold.empty());
-    EXPECT_EQ(cold, warm);
-    cache.clear();
-}
-
-TEST(CacheDeterminism, NldmCachedMatchesCacheDisabled)
-{
-    auto &cache = cache::ResultCache::instance();
-    cache.clear();
-
-    liberty::CharacterizerConfig uncached = miniGrid();
-    uncached.useCache = false;
-    const std::string reference = characterizeInv(uncached, 1);
-    ASSERT_EQ(cache.size(), 0u)
-        << "useCache = false must not touch the cache";
-
-    const liberty::CharacterizerConfig cached = miniGrid();
-    const std::string cold = characterizeInv(cached, 1);
-    const std::string warm = characterizeInv(cached, 1);
-    EXPECT_EQ(reference, cold);
-    EXPECT_EQ(reference, warm);
-    cache.clear();
-}
-
-TEST(CacheDeterminism, NldmParallelJobsMatchSerialColdAndWarm)
-{
-    auto &cache = cache::ResultCache::instance();
-    const liberty::CharacterizerConfig mini = miniGrid();
-
-    cache.clear();
-    const std::string serial_cold = characterizeInv(mini, 1);
-
-    // A fresh cache filled under the 8-way fan-out must still read
-    // back the same bits: keys are content-addressed and the values
-    // stored are the deterministic per-point results.
-    cache.clear();
-    const std::string parallel_cold = characterizeInv(mini, 8);
-    const std::string parallel_warm = characterizeInv(mini, 8);
-
-    EXPECT_EQ(serial_cold, parallel_cold);
-    EXPECT_EQ(serial_cold, parallel_warm);
-    cache.clear();
 }
 
 TEST(CacheDeterminism, ExplorerPointColdAndWarmRunsAreByteIdentical)

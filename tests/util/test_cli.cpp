@@ -188,7 +188,9 @@ TEST_F(CliSession, JobsAboveHardwareIsClampedNotFatal)
 
 TEST_F(CliSession, JobsRejectsZeroNegativeAndGarbage)
 {
-    for (const char *bad : {"0", "-1", "-8", "abc", "3x", "", "2.5"}) {
+    // 4294967297 = 2^32 + 1 would wrap to 1 if narrowed to int.
+    for (const char *bad :
+         {"0", "-1", "-8", "abc", "3x", "", "2.5", "4294967297"}) {
         Args args({"prog", "--jobs", bad});
         EXPECT_THROW(Session("test", args.argc(), args.argv()),
                      FatalError)

@@ -1,8 +1,7 @@
 /**
  * @file
- * Unit tests for the content-addressed result cache: key hashing,
- * LRU behavior, enable/disable semantics, JSON persistence
- * round-trips, and resilience against mangled cache files.
+ * Unit tests for the content-addressed in-memory memo: key hashing,
+ * store/lookup round-trips, and its timeline events.
  */
 
 #include <gtest/gtest.h>
@@ -19,30 +18,19 @@ namespace otft::cache {
 namespace {
 
 /**
- * The cache under test is the process-wide singleton; each fixture
- * run starts from a clean, memory-only configuration and restores it
- * afterwards so the other test_util suites never see leftovers.
+ * The cache under test is the process-wide singleton; each test
+ * starts and ends empty so the other test_util suites never see
+ * leftovers.
  */
 class ResultCacheTest : public ::testing::Test
 {
   protected:
-    void
-    SetUp() override
-    {
-        auto &c = ResultCache::instance();
-        c.setEnabled(true);
-        c.setCapacity(65536);
-        c.clear();
-    }
+    void SetUp() override { ResultCache::instance().clear(); }
 
     void
     TearDown() override
     {
-        auto &c = ResultCache::instance();
-        c.setDirectory("");
-        c.setEnabled(true);
-        c.setCapacity(65536);
-        c.clear();
+        ResultCache::instance().clear();
         if (!tempDir.empty())
             std::filesystem::remove_all(tempDir);
     }
@@ -134,135 +122,6 @@ TEST_F(ResultCacheTest, StoreOverwritesExistingEntry)
     EXPECT_EQ(out, std::vector<double>({2.0}));
 }
 
-TEST_F(ResultCacheTest, LruEvictsOldestAtCapacity)
-{
-    auto &c = ResultCache::instance();
-    c.setCapacity(3);
-    c.store("d", 1, {1.0});
-    c.store("d", 2, {2.0});
-    c.store("d", 3, {3.0});
-
-    // Touch key 1 so key 2 becomes the LRU victim.
-    std::vector<double> out;
-    ASSERT_TRUE(c.lookup("d", 1, out));
-    c.store("d", 4, {4.0});
-
-    EXPECT_EQ(c.size(), 3u);
-    EXPECT_TRUE(c.lookup("d", 1, out));
-    EXPECT_FALSE(c.lookup("d", 2, out));
-    EXPECT_TRUE(c.lookup("d", 3, out));
-    EXPECT_TRUE(c.lookup("d", 4, out));
-}
-
-TEST_F(ResultCacheTest, ShrinkingCapacityEvictsImmediately)
-{
-    auto &c = ResultCache::instance();
-    for (std::uint64_t k = 0; k < 10; ++k)
-        c.store("d", k, {static_cast<double>(k)});
-    c.setCapacity(2);
-    EXPECT_EQ(c.size(), 2u);
-}
-
-TEST_F(ResultCacheTest, DisabledCacheMissesAndDropsStores)
-{
-    auto &c = ResultCache::instance();
-    c.store("d", 1, {1.0});
-    c.setEnabled(false);
-
-    std::vector<double> out;
-    EXPECT_FALSE(c.lookup("d", 1, out));
-    c.store("d", 2, {2.0});
-
-    // Entries stored while enabled survive a disable/enable cycle.
-    c.setEnabled(true);
-    EXPECT_TRUE(c.lookup("d", 1, out));
-    EXPECT_FALSE(c.lookup("d", 2, out));
-}
-
-TEST_F(ResultCacheTest, PersistenceRoundTripsExactBits)
-{
-    const std::string dir = makeTempDir("roundtrip");
-    auto &c = ResultCache::instance();
-    c.setDirectory(dir);
-
-    // Values chosen to stress %.17g round-tripping.
-    const std::vector<double> payload = {
-        0.1, 1.0 / 3.0, 6.02214076e23, -2.2250738585072014e-308};
-    c.store("liberty.arcpoint", 0xdeadbeefull, payload);
-    c.flush();
-
-    // Reload into a cold cache.
-    c.clear();
-    c.setDirectory(dir);
-    std::vector<double> out;
-    ASSERT_TRUE(c.lookup("liberty.arcpoint", 0xdeadbeefull, out));
-    ASSERT_EQ(out.size(), payload.size());
-    for (std::size_t i = 0; i < payload.size(); ++i)
-        EXPECT_EQ(out[i], payload[i]) << "index " << i;
-}
-
-TEST_F(ResultCacheTest, CorruptCacheFilesAreIgnoredNotFatal)
-{
-    const std::string dir = makeTempDir("corrupt");
-    std::filesystem::create_directories(dir);
-    const std::string path = dir + "/result_cache.json";
-
-    // Fuzz-ish set of mangled files: none may throw, all must leave
-    // the cache empty and usable.
-    const char *variants[] = {
-        "",                                       // empty file
-        "{",                                      // truncated object
-        "not json at all",                        // garbage
-        "[1, 2, 3]",                              // wrong top type
-        "{\"schema\": \"something-else\"}",       // wrong schema
-        "{\"schema\": \"otft-result-cache-1\", "
-        "\"entries\": {\"d:0\": [1.0, ",          // truncated entry
-        "{\"schema\": \"otft-result-cache-1\", "
-        "\"entries\": {\"d:0\": \"oops\"}}",      // non-array payload
-        "{\"schema\": \"otft-result-cache-1\", "
-        "\"entries\": {\"d:0\": [true, null]}}",  // non-numeric items
-    };
-    auto &c = ResultCache::instance();
-    for (const char *text : variants) {
-        {
-            std::ofstream os(path);
-            os << text;
-        }
-        c.setDirectory("");
-        c.clear();
-        EXPECT_NO_THROW(c.setDirectory(dir)) << "input: " << text;
-        EXPECT_EQ(c.size(), 0u) << "input: " << text;
-
-        // The cache must stay fully usable afterwards.
-        c.store("d", 9, {9.0});
-        std::vector<double> out;
-        EXPECT_TRUE(c.lookup("d", 9, out));
-        c.clear();
-    }
-}
-
-TEST_F(ResultCacheTest, MalformedEntriesSkippedGoodOnesKept)
-{
-    const std::string dir = makeTempDir("partial");
-    std::filesystem::create_directories(dir);
-    {
-        std::ofstream os(dir + "/result_cache.json");
-        os << "{\"schema\": \"otft-result-cache-1\", \"entries\": {"
-           << "\"d:0000000000000001\": [1.5], "
-           << "\"d:0000000000000002\": \"bad\", "
-           << "\"d:0000000000000003\": [3.5, 4.5]}}";
-    }
-    auto &c = ResultCache::instance();
-    c.setDirectory(dir);
-    EXPECT_EQ(c.size(), 2u);
-    std::vector<double> out;
-    EXPECT_TRUE(c.lookup("d", 1, out));
-    EXPECT_EQ(out, std::vector<double>({1.5}));
-    EXPECT_FALSE(c.lookup("d", 2, out));
-    EXPECT_TRUE(c.lookup("d", 3, out));
-    EXPECT_EQ(out, std::vector<double>({3.5, 4.5}));
-}
-
 TEST_F(ResultCacheTest, FreeFunctionsUseTheSingleton)
 {
     store("free.fn", 5, {5.5});
@@ -272,12 +131,11 @@ TEST_F(ResultCacheTest, FreeFunctionsUseTheSingleton)
     EXPECT_EQ(ResultCache::instance().size(), 1u);
 }
 
-TEST_F(ResultCacheTest, TimelineRecordsHitMissAndEvictEvents)
+TEST_F(ResultCacheTest, TimelineRecordsHitAndMissEvents)
 {
     const std::string path = makeTempDir("trace") + "/timeline.json";
     std::filesystem::create_directories(tempDir);
     auto &c = ResultCache::instance();
-    c.setCapacity(2);
 
     trace::start(path);
     std::vector<double> out;
@@ -291,11 +149,6 @@ TEST_F(ResultCacheTest, TimelineRecordsHitMissAndEvictEvents)
     const std::size_t after_hit = trace::eventCount();
     EXPECT_GE(after_hit - after_miss, 2u);
 
-    c.store("t", 2, {2.0});
-    c.store("t", 3, {3.0}); // capacity 2: evicts the LRU entry
-    const std::size_t after_evict = trace::eventCount();
-    EXPECT_GE(after_evict - after_hit, 1u);
-
     trace::stop();
 
     // The emitted timeline names the cache decisions.
@@ -304,7 +157,6 @@ TEST_F(ResultCacheTest, TimelineRecordsHitMissAndEvictEvents)
                      std::istreambuf_iterator<char>());
     EXPECT_NE(text.find("cache.miss"), std::string::npos);
     EXPECT_NE(text.find("cache.hit"), std::string::npos);
-    EXPECT_NE(text.find("cache.evict"), std::string::npos);
 }
 
 TEST_F(ResultCacheTest, NoTimelineEventsWhenNotCollecting)
